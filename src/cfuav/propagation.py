@@ -9,11 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import ExperimentConfig, Topology
-
-# UMa-AV formulas are specified for UAV heights in this band (meters).
-UMA_AV_MIN_HEIGHT = 22.5
-UMA_AV_MAX_HEIGHT = 300.0
+from .scenario import (UMA_AV_MAX_HEIGHT, UMA_AV_MIN_HEIGHT, ExperimentConfig,
+                       Topology)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,22 @@ For a power vector p the SINR of UAV k is the rational form
 where a (coherent signal gain), d (beamforming uncertainty), b (cross
 interference) and c (noise) come from ensemble averages of combiner/channel
 inner products. The coefficients are frozen at the power vector used to build
-the combiners; the power solvers treat them as constants."""
+the combiners; the power solvers treat them as constants.
 
+The moment reduction works on blocks of realizations in the solver layout
+(L, N, t, K): each (T, K, L, N) input block is transposed once, so every
+(O-RU, antenna) pair holds a contiguous (t, K) array. Per (l, t) the Gram
+matrix G = sum_k p_k (h_hat_k h_hat_k^H + C_err_k) + sigma^2 I is Hermitian
+positive definite, and is factored as G = C C^H by a Cholesky factorization
+written entrywise over whole (l, t) arrays, looping in Python over the N
+antennas only; forward and back substitution then give v for all K UAVs.
+The second moment uses the real feature map f(x) in R^(N^2) made of |x_a|^2
+and sqrt2 Re / sqrt2 Im of x_a conj(x_b) for a < b, for which
+|v^H h|^2 = f(v) . f(h). The sum over a block of E[|v_kl^H h_il|^2] is thus
+one real GEMM per O-RU, (K x N^2 t) by (N^2 t x K), and the (t, L, K, K)
+cross-term tensor is never formed."""
+
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +31,7 @@ import numpy as np
 from .pilots import EstimationResult
 
 _CHUNK = 32  # realizations per accumulation block; fixed so sums are ordered
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -40,35 +55,86 @@ def cpu_weights(association: np.ndarray, beta: np.ndarray) -> CpuWeights:
     return CpuWeights(alpha=a * np.sqrt(np.asarray(beta, dtype=float)))
 
 
-def _gram_matrices(h_hat_block: np.ndarray, base: np.ndarray,
-                   powers: np.ndarray) -> np.ndarray:
-    # h_hat_block: (t, L, N, K); base: (L, N, N) holds error-covariance and
-    # noise terms shared by all realizations
-    outer = np.einsum("tlnk,k,tlmk->tlnm", h_hat_block, powers,
-                      np.conj(h_hat_block))
-    return base[None] + outer
+def _abs2(x: np.ndarray) -> np.ndarray:
+    return x.real ** 2 + x.imag ** 2
+
+
+def _solver_layout(x: np.ndarray) -> np.ndarray:
+    """(T, K, L, N) -> contiguous (L, N, T, K): per O-RU and antenna, one
+    (T, K) block, so the solver's entrywise arithmetic runs over whole arrays.
+    The map is its own inverse."""
+    return np.ascontiguousarray(x.transpose(2, 3, 0, 1))
 
 
 def _base_gram(est: EstimationResult, powers: np.ndarray,
                sigma2: float) -> np.ndarray:
+    # (L, N, N) error-covariance and noise terms shared by all realizations
     n = est.c_err.shape[-1]
     base = np.einsum("k,klnm->lnm", powers, est.c_err)
     return base + sigma2 * np.eye(n)
 
 
+def _gram_cholesky(h_hat: np.ndarray, base: np.ndarray,
+                   powers: np.ndarray) -> list:
+    """Lower Cholesky factor C of G = base + sum_k p_k h_hat_k h_hat_k^H for
+    every (l, t) of a solver-layout block h_hat (L, N, t, K). Entry C[i][j]
+    (i >= j) is an (L, t) array. base >= sigma^2 I makes G positive definite,
+    so every pivot C[j][j]^2 >= sigma^2 and no pivoting is needed."""
+    n = h_hat.shape[1]
+    weighted = h_hat * powers
+    conj = np.conj(h_hat)
+    c = [[None] * n for _ in range(n)]
+    for j in range(n):
+        pivot = (base[:, j, j, None].real
+                 + np.einsum("ltk,ltk->lt", weighted[:, j], conj[:, j]).real)
+        for m in range(j):
+            pivot -= _abs2(c[j][m])
+        c[j][j] = np.sqrt(pivot)
+        for i in range(j + 1, n):
+            g = base[:, i, j, None] + np.einsum("ltk,ltk->lt", weighted[:, i],
+                                                conj[:, j])
+            for m in range(j):
+                g -= c[i][m] * np.conj(c[j][m])
+            c[i][j] = g / c[j][j]
+    return c
+
+
+def _lmmse_solve(h_hat: np.ndarray, base: np.ndarray,
+                 powers: np.ndarray) -> np.ndarray:
+    """v = G^{-1} h_hat for all K right-hand sides of every (l, t), by forward
+    and back substitution through the Cholesky factor; Python loops run over
+    the N antennas only."""
+    n = h_hat.shape[1]
+    c = _gram_cholesky(h_hat, base, powers)
+    inv = [1.0 / c[i][i][..., None] for i in range(n)]
+    v = np.empty_like(h_hat)
+    for i in range(n):                      # C y = h_hat
+        y = v[:, i]
+        y[...] = h_hat[:, i]
+        for m in range(i):
+            y -= c[i][m][..., None] * v[:, m]
+        y *= inv[i]
+    for i in reversed(range(n)):            # C^H v = y, in place
+        x = v[:, i]
+        for m in range(i + 1, n):
+            x -= np.conj(c[m][i])[..., None] * v[:, m]
+        x *= inv[i]
+    return v
+
+
 def lmmse_combiner(est: EstimationResult, powers, sigma2: float) -> CombinerSet:
     """v_kl = (sum_i p_i (h_hat_il h_hat_il^H + C_err_il) + sigma^2 I)^{-1} h_hat_kl
-    for every realization; the Gram matrix is factored once per O-RU."""
+    for every realization; the Gram matrix is factored once per (O-RU,
+    realization) and serves all K right-hand sides."""
     powers = np.asarray(powers, dtype=float)
     if np.any(powers < 0):
         raise ValueError("powers must be non-negative")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive for invertibility")
-    h_hat = np.einsum("tkln->tlnk", est.h_hat)
-    gram = _gram_matrices(h_hat, _base_gram(est, powers, sigma2), powers)
-    v = np.linalg.solve(gram, h_hat)
+    v = _lmmse_solve(_solver_layout(est.h_hat),
+                     _base_gram(est, powers, sigma2), powers)
     powers = np.broadcast_to(powers, (est.h_hat.shape[1],)).copy()
-    return CombinerSet(v=np.einsum("tlnk->tkln", v), power=powers)
+    return CombinerSet(v=_solver_layout(v), power=powers)
 
 
 @dataclass(frozen=True)
@@ -83,49 +149,68 @@ class ChannelMoments:
     power: np.ndarray     # (K,)
 
 
-def _abs2(x: np.ndarray) -> np.ndarray:
-    return x.real ** 2 + x.imag ** 2
+def _features(x: np.ndarray) -> np.ndarray:
+    """Real features (L, N*N, t, K) of a solver-layout block (L, N, t, K):
+    |x_a|^2 for every antenna a, then sqrt2 Re and sqrt2 Im of x_a conj(x_b)
+    for a < b, so that |v^H h|^2 = f(v) . f(h)."""
+    l_num, n, t, k = x.shape
+    f = np.empty((l_num, n * n, t, k))
+    f[:, :n] = _abs2(x)
+    w = _SQRT2 * np.conj(x)
+    j = n
+    for a in range(n):
+        for b in range(a + 1, n):
+            z = x[:, a] * w[:, b]
+            f[:, j] = z.real
+            f[:, j + 1] = z.imag
+            j += 2
+    return f
+
+
+def _accumulate(h: np.ndarray, combiners, chunk: int):
+    """Moment sums of combiners against the channel ensemble h (T, K, L, N),
+    block by block in fixed realization order (identical results regardless
+    of caller parallelism). combiners(block) returns v for a realization
+    slice in solver layout. The g2 sum is one real GEMM per O-RU and block:
+    (K x N^2 t) f(v)^T times (N^2 t x K) f(h)."""
+    t_num, k_num, l_num, n = h.shape
+    s1 = np.zeros((l_num, k_num), dtype=complex)
+    s2 = np.zeros((l_num, k_num, k_num))
+    sn = np.zeros((l_num, k_num))
+    for t0 in range(0, t_num, chunk):
+        block = slice(t0, t0 + chunk)
+        hb = _solver_layout(h[block])
+        v = combiners(block)
+        fv = _features(v)
+        s1 += np.einsum("lntk,lntk->lk", np.conj(v), hb)
+        sn += fv[:, :n].sum(axis=(1, 2))
+        s2 += np.matmul(fv.reshape(l_num, -1, k_num).swapaxes(1, 2),
+                        _features(hb).reshape(l_num, -1, k_num))
+    return (np.ascontiguousarray(s1.T) / t_num,
+            np.ascontiguousarray(s2.transpose(1, 2, 0)) / t_num,
+            np.ascontiguousarray(sn.T) / t_num)
 
 
 def channel_moments(h: np.ndarray, est: EstimationResult, powers,
                     sigma2: float, chunk: int = _CHUNK) -> ChannelMoments:
-    """Build combiners block by block and accumulate the moment sums in fixed
-    realization order (identical results regardless of caller parallelism)."""
+    """L-MMSE combiner moments for one power vector: the combiners are solved
+    block by block and reduced as they come, never held for all T."""
     powers = np.asarray(powers, dtype=float)
-    t_num, k_num, l_num, _ = h.shape
     base = _base_gram(est, powers, sigma2)
-    s1 = np.zeros((k_num, l_num), dtype=complex)
-    s2 = np.zeros((k_num, k_num, l_num))
-    sn = np.zeros((k_num, l_num))
-    for t0 in range(0, t_num, chunk):
-        hh = np.einsum("tkln->tlnk", est.h_hat[t0:t0 + chunk])
-        ht = np.einsum("tkln->tlnk", h[t0:t0 + chunk])
-        v = np.linalg.solve(_gram_matrices(hh, base, powers), hh)
-        cross = np.einsum("tlnk,tlni->tlki", np.conj(v), ht)
-        s1 += np.einsum("tlkk->kl", cross)
-        s2 += np.einsum("tlki->kil", _abs2(cross))
-        sn += np.einsum("tlnk->kl", _abs2(v))
-    return ChannelMoments(g1=s1 / t_num, g2=s2 / t_num, gn=sn / t_num,
-                          n_samples=t_num, power=powers.copy())
+    g1, g2, gn = _accumulate(
+        h, lambda block: _lmmse_solve(_solver_layout(est.h_hat[block]), base,
+                                      powers), chunk)
+    return ChannelMoments(g1=g1, g2=g2, gn=gn, n_samples=h.shape[0],
+                          power=powers.copy())
 
 
 def moments_from_combiners(h: np.ndarray, combiners: CombinerSet,
                            chunk: int = _CHUNK) -> ChannelMoments:
     """Same reduction as channel_moments but for externally supplied combiners."""
-    powers = np.asarray(combiners.power, dtype=float)
-    t_num, k_num, l_num, _ = h.shape
-    s1 = np.zeros((k_num, l_num), dtype=complex)
-    s2 = np.zeros((k_num, k_num, l_num))
-    sn = np.zeros((k_num, l_num))
-    for t0 in range(0, t_num, chunk):
-        v = np.einsum("tkln->tlnk", combiners.v[t0:t0 + chunk])
-        ht = np.einsum("tkln->tlnk", h[t0:t0 + chunk])
-        cross = np.einsum("tlnk,tlni->tlki", np.conj(v), ht)
-        s1 += np.einsum("tlkk->kl", cross)
-        s2 += np.einsum("tlki->kil", _abs2(cross))
-        sn += np.einsum("tlnk->kl", _abs2(v))
-    return ChannelMoments(g1=s1 / t_num, g2=s2 / t_num, gn=sn / t_num,
-                          n_samples=t_num, power=powers.copy())
+    g1, g2, gn = _accumulate(
+        h, lambda block: _solver_layout(combiners.v[block]), chunk)
+    return ChannelMoments(g1=g1, g2=g2, gn=gn, n_samples=h.shape[0],
+                          power=np.asarray(combiners.power, dtype=float).copy())
 
 
 @dataclass(frozen=True)

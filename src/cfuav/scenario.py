@@ -6,6 +6,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+# UMa-AV formulas are specified for UAV heights in this band (meters).
+UMA_AV_MIN_HEIGHT = 22.5
+UMA_AV_MAX_HEIGHT = 300.0
+
 # One independent random stream per (trial, purpose) pair.
 STREAM_PURPOSES = (
     "topology",
@@ -66,8 +70,10 @@ class ExperimentConfig:
         if self.pilot_len >= self.coherence_len:
             raise ValueError("pilot_len must be smaller than coherence_len")
         lo, hi = self.uav_alt_range
-        if not (0 < lo <= hi <= 300.0):
-            raise ValueError("uav_alt_range must lie within (0, 300] m")
+        if not (UMA_AV_MIN_HEIGHT < lo <= hi <= UMA_AV_MAX_HEIGHT):
+            raise ValueError(
+                "uav_alt_range must lie within the UMa-AV band "
+                f"({UMA_AV_MIN_HEIGHT}, {UMA_AV_MAX_HEIGHT}] m")
         if not math.isfinite(self.p_max_dbm):
             raise ValueError("p_max_dbm must be finite")
         if self.bandwidth_hz <= 0:

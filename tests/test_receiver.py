@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from cfuav import receiver
 from cfuav.pilots import EstimationResult
 from cfuav.receiver import (ChannelMoments, CombinerSet,
                             assemble_coefficients, channel_moments,
                             cpu_weights, estimate_sinr_coefficients,
-                            lmmse_combiner, sinr, spectral_efficiency)
+                            lmmse_combiner, moments_from_combiners, sinr,
+                            spectral_efficiency)
 
 
 def rng(seed=0):
@@ -283,6 +285,109 @@ def test_monte_carlo_convergence_of_moments():
     se = np.sqrt(se_small ** 2 + se_big ** 2)
     diff = np.abs(m_small.g2 - m_big.g2)
     assert np.all(diff < 3.0 * se + 1e-12)
+
+
+# ------------------------------------------------- moment kernel vs oracle
+
+def oracle_gram(est, powers, sigma2):
+    """Explicit Gram matrices (T, L, N, N) of every realization and O-RU."""
+    hh = np.einsum("tkln->tlnk", est.h_hat)
+    n = hh.shape[2]
+    return (np.einsum("tlnk,k,tlmk->tlnm", hh, powers, np.conj(hh))
+            + np.einsum("k,klnm->lnm", powers, est.c_err) + sigma2 * np.eye(n))
+
+
+def oracle_combiners(est, powers, sigma2):
+    """L-MMSE combiners (T, K, L, N) by LU solves of the explicit Gram."""
+    hh = np.einsum("tkln->tlnk", est.h_hat)
+    v = np.linalg.solve(oracle_gram(est, powers, sigma2), hh)
+    return np.einsum("tlnk->tkln", v)
+
+
+def oracle_moments(h, v):
+    """Cross-term reduction: materializes v_kl^H h_il for every (t, l, k, i)
+    and reduces it with einsum."""
+    t = h.shape[0]
+    cross = np.einsum("tkln,tiln->tlki", np.conj(v), h)
+    return (np.einsum("tlkk->kl", cross) / t,
+            np.einsum("tlki->kil", np.abs(cross) ** 2) / t,
+            np.einsum("tkln->kl", np.abs(v) ** 2) / t)
+
+
+def assert_moments_close(m, g1, g2, gn):
+    # norm-wise: tiny cross-interference entries of g2 legitimately differ by
+    # more than 1e-12 elementwise between the two reductions
+    for got, want in ((m.g1, g1), (m.g2, g2), (m.gn, gn)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def kernel_case(n, k, t=45, l=3, seed=0):
+    """Random ensemble with a zero power entry and an all-zero estimate."""
+    r = rng(seed)
+    shape = (t, k, l, n)
+    h = r.standard_normal(shape) + 1j * r.standard_normal(shape)
+    hh = h + 0.3 * (r.standard_normal(shape) + 1j * r.standard_normal(shape))
+    hh[:, 0, 1] = 0.0
+    x = r.standard_normal((k, l, n, n)) + 1j * r.standard_normal((k, l, n, n))
+    c_err = 0.05 * x @ np.conj(np.swapaxes(x, -1, -2))
+    p = r.uniform(0.1, 1.0, k)
+    p[0] = 0.0
+    return h, est_from(hh, c_err), p
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("k", [1, 3])
+def test_channel_moments_match_oracle(n, k):
+    # T = 45 is not a multiple of the 32-realization block
+    h, est, p = kernel_case(n, k, seed=10 * n + k)
+    sigma2 = 0.2
+    m = channel_moments(h, est, p, sigma2)
+    assert_moments_close(m, *oracle_moments(h, oracle_combiners(est, p, sigma2)))
+    np.testing.assert_array_equal(m.power, p)
+    assert m.n_samples == 45
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_moments_from_combiners_match_oracle(n):
+    # the shared reduction alone, fed combiners solved outside the receiver
+    h, est, p = kernel_case(n, 3, seed=n)
+    v = oracle_combiners(est, p, 0.2)
+    m = moments_from_combiners(h, CombinerSet(v=v, power=p), chunk=7)
+    assert_moments_close(m, *oracle_moments(h, v))
+
+
+def test_channel_moments_match_oracle_on_desk_trial():
+    from cfuav.harness import prepare_trial
+    from cfuav.scenario import desk_scale
+
+    cfg = desk_scale(num_uavs=5, master_seed=2026)
+    data = prepare_trial(cfg, 0)
+    p = rng(11).uniform(0.0, cfg.p_max_w, cfg.num_uavs)
+    m = channel_moments(data.h, data.est, p, data.sigma2)
+    v = oracle_combiners(data.est, p, data.sigma2)
+    assert_moments_close(m, *oracle_moments(data.h, v))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_gram_cholesky_pivots_bounded_by_noise(n):
+    # G >= sigma^2 I, so every pivot satisfies C_jj^2 >= sigma^2 even with a
+    # zero power and an all-zero estimate: the factor needs no fallback
+    h, est, p = kernel_case(n, 3, t=9, seed=40 + n)
+    sigma2 = 1e-3
+    base = receiver._base_gram(est, p, sigma2)
+    c = receiver._gram_cholesky(receiver._solver_layout(est.h_hat), base, p)
+    for j in range(n):
+        assert np.all(np.isfinite(c[j][j]))
+        assert np.all(c[j][j] ** 2 >= sigma2 * (1.0 - 1e-12))
+    # C C^H rebuilds the Gram matrix; factor entries are (L, t)
+    zero = np.zeros_like(c[0][0])
+    low = np.array([[c[i][j] if j <= i else zero for j in range(n)]
+                    for i in range(n)])            # (N, N, L, t)
+    low = np.moveaxis(low, (0, 1), (-2, -1)).swapaxes(0, 1)  # (t, L, N, N)
+    gram = low @ np.conj(np.swapaxes(low, -1, -2))
+    want = oracle_gram(est, p, sigma2)
+    assert np.max(np.abs(gram - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # --------------------------------------------------------------- sinr / se

@@ -45,6 +45,8 @@ def test_derived_powers():
     dict(p_max_dbm=float("inf")),
     dict(eps_bisect=0.0),
     dict(trials=0),
+    dict(uav_alt_range=(10.0, 20.0)),    # below the UMa-AV band
+    dict(uav_alt_range=(22.5, 100.0)),   # the band's lower edge is open
 ])
 def test_config_invariants_rejected(bad):
     with pytest.raises(ValueError):
