@@ -50,6 +50,14 @@ def main(argv=None) -> int:
                       if args.uavs else [config.num_uavs])
         schemes = ([parse_scheme(s) for s in args.schemes.split(",") if s.strip()]
                    if args.schemes else list(ALL_SCHEMES))
+        # each O-RU serves at most tau_p UAVs, so no association exists
+        # for more than L * tau_p of them
+        capacity = config.num_orus * config.pilot_len
+        too_many = [k for k in uav_counts if k > capacity]
+        if too_many:
+            raise ValueError(
+                f"UAV count(s) {too_many} exceed num_orus * pilot_len = "
+                f"{config.num_orus} * {config.pilot_len} = {capacity}")
 
         records = []
         for k in uav_counts:

@@ -2,14 +2,19 @@
 
 UAVs sharing a pilot despread onto the same observation, so their estimates
 pick up each other's channels. The estimator works per link from the pilot
-Gram matrix Psi = tau_p^2 * sum_{i in P_k} p_i C_il + tau_p * sigma^2 * I."""
+Gram matrix Psi = tau_p^2 * sum_{i in P_k} p_i C_il + tau_p * sigma^2 * I.
+The pilot phase runs in the solver layout (L, N, T, K) of the channel
+ensemble (see propagation.solver_layout): despreading is one GEMM over the
+UAV axis, and the estimates are written by propagation.link_affine, so
+h_hat, like h, is a (T, K, L, N) view of solver-layout storage."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import ChannelStats
+from .propagation import (ChannelStats, complex_normal_layout, link_affine,
+                          solver_layout)
 
 
 @dataclass(frozen=True)
@@ -127,22 +132,24 @@ def simulate_pilot_and_estimate(h: np.ndarray, assignment: PilotAssignment,
     y = tau_p * sum_{i on t} sqrt(p_i) h_il + n with n ~ CN(0, tau_p sigma^2 I);
     the estimate is h_hat = h_bar + W (y - E[y]). UAVs sharing a pilot share
     the observation, which is what contaminates their estimates."""
-    h = np.asarray(h)
+    h = np.asarray(h, dtype=complex)
     if h.ndim != 4:
         raise ValueError("expected channel ensemble with shape (T, K, L, N)")
     t_num, k_num, l_num, n = h.shape
     if k_num != assignment.num_uavs or stats.mean_vec.shape != (k_num, l_num, n):
         raise ValueError("channel ensemble does not match assignment/stats")
     tau = assignment.tau_p
-    amp = np.sqrt(assignment.pilot_power)
-    member = np.zeros((tau, k_num))
-    member[assignment.pilot_of, np.arange(k_num)] = 1.0
-    y = tau * np.einsum("pk,k,tkln->tpln", member, amp, h)
+    # despreading weights: column p sums tau sqrt(p_i) h_i over pilot p's UAVs
+    spread = np.zeros((k_num, tau))
+    spread[np.arange(k_num), assignment.pilot_of] = (
+        tau * np.sqrt(assignment.pilot_power))
+    y_mean = (stats.mean_vec.transpose(1, 2, 0) @ spread)[:, :, None]
+    y = (solver_layout(h).reshape(-1, k_num) @ spread).reshape(
+        l_num, n, t_num, tau)
     noise = stream.standard_normal((2, t_num, tau, l_num, n))
-    noise = (noise[0] + 1j * noise[1]) * math.sqrt(tau * sigma2 / 2.0)
-    y = y + noise
-    y_mean = tau * np.einsum("pk,k,kln->pln", member, amp, stats.mean_vec)
-    dev = y[:, assignment.pilot_of] - y_mean[assignment.pilot_of]
+    y += complex_normal_layout(noise, math.sqrt(tau * sigma2 / 2.0))
+    y -= y_mean
     psi, w, c_hat, c_err = _estimation_matrices(assignment, stats, sigma2)
-    h_hat = stats.mean_vec[None] + np.einsum("klnm,tklm->tkln", w, dev)
+    h_hat = link_affine(stats.mean_vec, w,
+                        np.take(y, assignment.pilot_of, axis=-1))
     return EstimationResult(h_hat=h_hat, c_hat=c_hat, c_err=c_err, psi=psi)

@@ -2,7 +2,11 @@
 (TR 36.777 closed forms), spatially correlated Rician statistics, and sampling
 of small-scale realizations.
 
-Every per-link quantity is held as a K x L array (UAV index first)."""
+Every per-link quantity is held as a K x L array (UAV index first). The
+realization ensemble has the canonical shape (T, K, L, N) but is stored in
+the solver layout (L, N, T, K) that the receiver's moment reduction reads:
+draw_channels writes it there with entrywise passes that loop over the N
+antennas only, and returns the canonical shape as a transposed view."""
 
 import math
 from dataclasses import dataclass
@@ -208,15 +212,55 @@ def covariance_sqrt(cov: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return np.einsum("...im,...m,...jm->...ij", u, s, np.conj(u))
 
 
+def solver_layout(x: np.ndarray) -> np.ndarray:
+    """(T, K, L, N) -> contiguous (L, N, T, K): per O-RU and antenna, one
+    (T, K) block, so entrywise arithmetic runs over whole arrays. The
+    ensembles from draw_channels and simulate_pilot_and_estimate are views of
+    arrays stored this way, so for them this is a zero-copy transpose; any
+    other (T, K, L, N) array is copied once."""
+    return np.ascontiguousarray(x.transpose(2, 3, 0, 1))
+
+
+def complex_normal_layout(z: np.ndarray, scale: float) -> np.ndarray:
+    """scale * (z[0] + j z[1]) for a real draw z of shape (2, T, K, L, N),
+    written straight into solver layout (L, N, T, K)."""
+    _, t_num, k_num, l_num, n = z.shape
+    out = np.empty((l_num, n, t_num, k_num), dtype=complex)
+    np.multiply(z[0].transpose(2, 3, 0, 1), scale, out=out.real)
+    np.multiply(z[1].transpose(2, 3, 0, 1), scale, out=out.imag)
+    return out
+
+
+def link_affine(mean: np.ndarray, mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mean_kl + mat_kl x_kl for every link and realization, with mean
+    (K, L, N), mat (K, L, N, N) and x in solver layout (L, N, T, K).
+
+    Python loops run over the N x N matrix entries only; each step is one
+    entrywise pass over an (L, T, K) array. The result is stored in solver
+    layout and returned as its (T, K, L, N) view."""
+    l_num, n, t_num, k_num = x.shape
+    m = np.ascontiguousarray(mat.transpose(1, 2, 3, 0))[:, :, :, None]
+    mu = np.ascontiguousarray(mean.transpose(1, 2, 0))[:, :, None]
+    out = np.empty((l_num, n, t_num, k_num), dtype=complex)
+    term = np.empty((l_num, t_num, k_num), dtype=complex)
+    for i in range(n):
+        o = out[:, i]
+        np.multiply(m[:, i, 0], x[:, 0], out=o)
+        for j in range(1, n):
+            o += np.multiply(m[:, i, j], x[:, j], out=term)
+        o += mu[:, i]
+    return out.transpose(2, 3, 0, 1)
+
+
 def draw_channels(stats: ChannelStats, n_realizations: int,
                   stream: np.random.Generator) -> np.ndarray:
     """Sample the channel ensemble, shape (T, K, L, N):
-    h = h_bar + scatter_cov^(1/2) z with z standard complex Gaussian."""
+    h = h_bar + scatter_cov^(1/2) z with z standard complex Gaussian.
+    The array is stored in solver layout; see link_affine."""
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     sqrt_cov = covariance_sqrt(stats.scatter_cov)
     k, l, n = stats.mean_vec.shape
     z = stream.standard_normal((2, n_realizations, k, l, n))
-    z = (z[0] + 1j * z[1]) / math.sqrt(2.0)
-    scat = np.einsum("klij,tklj->tkli", sqrt_cov, z)
-    return stats.mean_vec[None, ...] + scat
+    return link_affine(stats.mean_vec, sqrt_cov,
+                       complex_normal_layout(z, 1.0 / math.sqrt(2.0)))

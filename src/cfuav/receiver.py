@@ -11,8 +11,11 @@ inner products. The coefficients are frozen at the power vector used to build
 the combiners; the power solvers treat them as constants.
 
 The moment reduction works on blocks of realizations in the solver layout
-(L, N, t, K): each (T, K, L, N) input block is transposed once, so every
-(O-RU, antenna) pair holds a contiguous (t, K) array. Per (l, t) the Gram
+(L, N, T, K), where every (O-RU, antenna) pair holds a contiguous (T, K)
+array. The trial's h and h_hat are stored that way from the draw on (see
+propagation.solver_layout), so a block is the slice [:, :, t0:t1] of that
+storage and no call copies either ensemble; an input in another layout is
+copied once per call. Per (l, t) the Gram
 matrix G = sum_k p_k (h_hat_k h_hat_k^H + C_err_k) + sigma^2 I is Hermitian
 positive definite, and is factored as G = C C^H by a Cholesky factorization
 written entrywise over whole (l, t) arrays, looping in Python over the N
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pilots import EstimationResult
+from .propagation import solver_layout
 
 _CHUNK = 32  # realizations per accumulation block; fixed so sums are ordered
 _SQRT2 = math.sqrt(2.0)
@@ -57,13 +61,6 @@ def cpu_weights(association: np.ndarray, beta: np.ndarray) -> CpuWeights:
 
 def _abs2(x: np.ndarray) -> np.ndarray:
     return x.real ** 2 + x.imag ** 2
-
-
-def _solver_layout(x: np.ndarray) -> np.ndarray:
-    """(T, K, L, N) -> contiguous (L, N, T, K): per O-RU and antenna, one
-    (T, K) block, so the solver's entrywise arithmetic runs over whole arrays.
-    The map is its own inverse."""
-    return np.ascontiguousarray(x.transpose(2, 3, 0, 1))
 
 
 def _base_gram(est: EstimationResult, powers: np.ndarray,
@@ -131,10 +128,10 @@ def lmmse_combiner(est: EstimationResult, powers, sigma2: float) -> CombinerSet:
         raise ValueError("powers must be non-negative")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive for invertibility")
-    v = _lmmse_solve(_solver_layout(est.h_hat),
+    v = _lmmse_solve(solver_layout(est.h_hat),
                      _base_gram(est, powers, sigma2), powers)
     powers = np.broadcast_to(powers, (est.h_hat.shape[1],)).copy()
-    return CombinerSet(v=_solver_layout(v), power=powers)
+    return CombinerSet(v=v.transpose(2, 3, 0, 1), power=powers)
 
 
 @dataclass(frozen=True)
@@ -171,15 +168,17 @@ def _accumulate(h: np.ndarray, combiners, chunk: int):
     """Moment sums of combiners against the channel ensemble h (T, K, L, N),
     block by block in fixed realization order (identical results regardless
     of caller parallelism). combiners(block) returns v for a realization
-    slice in solver layout. The g2 sum is one real GEMM per O-RU and block:
+    slice in solver layout; the channel block is the slice [:, :, block] of
+    h's solver layout. The g2 sum is one real GEMM per O-RU and block:
     (K x N^2 t) f(v)^T times (N^2 t x K) f(h)."""
     t_num, k_num, l_num, n = h.shape
+    hs = solver_layout(h)
     s1 = np.zeros((l_num, k_num), dtype=complex)
     s2 = np.zeros((l_num, k_num, k_num))
     sn = np.zeros((l_num, k_num))
     for t0 in range(0, t_num, chunk):
         block = slice(t0, t0 + chunk)
-        hb = _solver_layout(h[block])
+        hb = hs[:, :, block]
         v = combiners(block)
         fv = _features(v)
         s1 += np.einsum("lntk,lntk->lk", np.conj(v), hb)
@@ -197,9 +196,9 @@ def channel_moments(h: np.ndarray, est: EstimationResult, powers,
     block by block and reduced as they come, never held for all T."""
     powers = np.asarray(powers, dtype=float)
     base = _base_gram(est, powers, sigma2)
+    h_hat = solver_layout(est.h_hat)
     g1, g2, gn = _accumulate(
-        h, lambda block: _lmmse_solve(_solver_layout(est.h_hat[block]), base,
-                                      powers), chunk)
+        h, lambda block: _lmmse_solve(h_hat[:, :, block], base, powers), chunk)
     return ChannelMoments(g1=g1, g2=g2, gn=gn, n_samples=h.shape[0],
                           power=powers.copy())
 
@@ -207,8 +206,8 @@ def channel_moments(h: np.ndarray, est: EstimationResult, powers,
 def moments_from_combiners(h: np.ndarray, combiners: CombinerSet,
                            chunk: int = _CHUNK) -> ChannelMoments:
     """Same reduction as channel_moments but for externally supplied combiners."""
-    g1, g2, gn = _accumulate(
-        h, lambda block: _solver_layout(combiners.v[block]), chunk)
+    v = solver_layout(combiners.v)
+    g1, g2, gn = _accumulate(h, lambda block: v[:, :, block], chunk)
     return ChannelMoments(g1=g1, g2=g2, gn=gn, n_samples=h.shape[0],
                           power=np.asarray(combiners.power, dtype=float).copy())
 

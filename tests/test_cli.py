@@ -41,6 +41,17 @@ def test_bad_scheme_fails_with_reason(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_uav_count_above_pilot_capacity_fails_before_any_trial(tmp_path, capsys):
+    # desk scale has L * tau_p = 25 * 5 = 125; 130 cannot be associated
+    out = tmp_path / "x.csv"
+    code = main(["--desk-scale", "--trials", "2", "--uavs", "5,130",
+                 "--schemes", "BA+FP", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "[130]" in err and "125" in err
+    assert not out.exists()
+
+
 def test_missing_config_file_fails(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "nope.cfg")])
     assert code == 1

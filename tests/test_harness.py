@@ -1,14 +1,17 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from cfuav.harness import (CSV_COLUMNS, MetricsRecord, dump_links,
-                           jain_fairness, min_se, read_results,
+                           jain_fairness, min_se, prepare_trial, read_results,
                            run_monte_carlo, run_trial, success_rate,
                            write_results)
 from cfuav.orchestrator import ALL_SCHEMES, SchemeId
+from cfuav.propagation import solver_layout
 from cfuav.receiver import SeVector
+from cfuav.scenario import desk_scale
 
 
 # ----------------------------------------------------------------- metrics
@@ -146,6 +149,25 @@ def test_run_monte_carlo_continues_after_trial_failure(tiny_config, monkeypatch,
         records = run_monte_carlo(tiny_config, [SchemeId("BA", "FP")])
     assert [r.trial for r in records] == [1]
     assert any("trial 0" in m for m in caplog.messages)
+
+
+# ------------------------------------------------------------------ layout
+
+@pytest.fixture(scope="module")
+def desk_trial():
+    return prepare_trial(desk_scale(num_uavs=10, master_seed=2026), 0)
+
+
+def test_trial_ensembles_are_views_of_solver_layout(desk_trial):
+    # the moment reduction reads h and h_hat in solver layout without a copy
+    for x in (desk_trial.h, desk_trial.est.h_hat):
+        assert x.shape == (200, 10, 25, 2)
+        assert np.shares_memory(solver_layout(x), x)
+
+
+def test_channel_hash_covers_canonical_bytes(desk_trial):
+    canonical = np.ascontiguousarray(desk_trial.h).tobytes()
+    assert desk_trial.channel_hash == hashlib.sha256(canonical).hexdigest()[:16]
 
 
 # -------------------------------------------------------------- persistence

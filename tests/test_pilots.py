@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cfuav.pilots import (assign_pilots_random, error_covariance,
-                          make_assignment, psi_matrix,
+from cfuav.pilots import (_estimation_matrices, assign_pilots_random,
+                          error_covariance, make_assignment, psi_matrix,
                           simulate_pilot_and_estimate)
 from cfuav.propagation import ChannelStats, draw_channels
 
@@ -27,15 +27,17 @@ def stats_1d(covs, means=None):
                         los_steering=np.ones((k, 1, 1), dtype=complex))
 
 
-def random_stats(r, k=2, n=2, scale=1e-10, mean_scale=None):
-    """Well-conditioned random statistics for K UAVs at one O-RU."""
+def random_stats(r, k=2, n=2, scale=1e-10, mean_scale=None, l=1):
+    """Well-conditioned random statistics for K UAVs at L O-RUs (one by
+    default)."""
     mean_scale = math.sqrt(scale) if mean_scale is None else mean_scale
-    covs = np.empty((k, 1, n, n), dtype=complex)
+    covs = np.empty((k, l, n, n), dtype=complex)
     for i in range(k):
-        x = r.standard_normal((n, n)) + 1j * r.standard_normal((n, n))
-        covs[i, 0] = scale * (x @ x.conj().T + 0.5 * np.eye(n))
-    means = mean_scale * (r.standard_normal((k, 1, n))
-                          + 1j * r.standard_normal((k, 1, n)))
+        for j in range(l):
+            x = r.standard_normal((n, n)) + 1j * r.standard_normal((n, n))
+            covs[i, j] = scale * (x @ x.conj().T + 0.5 * np.eye(n))
+    means = mean_scale * (r.standard_normal((k, l, n))
+                          + 1j * r.standard_normal((k, l, n)))
     return ChannelStats(mean_vec=means, scatter_cov=covs,
                         corr=covs / scale, los_steering=means)
 
@@ -200,6 +202,46 @@ def test_estimate_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         simulate_pilot_and_estimate(np.zeros((4, 2, 1, 1), complex), a, stats,
                                     SIGMA2, rng())
+
+
+def oracle_estimate(h, assignment, stats, sigma2, stream):
+    """The einsum form of simulate_pilot_and_estimate's h_hat over canonical
+    (T, K, L, N) arrays, drawing the pilot noise with the same call."""
+    t_num, k_num, l_num, n = h.shape
+    tau = assignment.tau_p
+    amp = np.sqrt(assignment.pilot_power)
+    member = np.zeros((tau, k_num))
+    member[assignment.pilot_of, np.arange(k_num)] = 1.0
+    y = tau * np.einsum("pk,k,tkln->tpln", member, amp, h)
+    noise = stream.standard_normal((2, t_num, tau, l_num, n))
+    y = y + (noise[0] + 1j * noise[1]) * math.sqrt(tau * sigma2 / 2.0)
+    y_mean = tau * np.einsum("pk,k,kln->pln", member, amp, stats.mean_vec)
+    dev = y[:, assignment.pilot_of] - y_mean[assignment.pilot_of]
+    _, w, _, _ = _estimation_matrices(assignment, stats, sigma2)
+    return stats.mean_vec[None] + np.einsum("klnm,tklm->tkln", w, dev)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_estimate_matches_einsum_oracle(n):
+    # K = 7 UAVs on tau_p = 3 pilots (not a multiple), L = 3, T = 45
+    r = rng(50 + n)
+    stats = random_stats(r, k=7, n=n, l=3)
+    a = make_assignment(r.integers(0, 3, 7), tau_p=3,
+                        pilot_power=r.uniform(0.1, 0.2, 7))
+    h = draw_channels(stats, 45, rng(60))
+    stream, oracle_stream = rng(61), rng(61)
+    est = simulate_pilot_and_estimate(h, a, stats, SIGMA2, stream)
+    want = oracle_estimate(np.ascontiguousarray(h), a, stats, SIGMA2,
+                           oracle_stream)
+    assert est.h_hat.shape == (45, 7, 3, n)
+    assert np.max(np.abs(est.h_hat - want)) <= 1e-12 * np.max(np.abs(want))
+    # both consumed the stream identically
+    np.testing.assert_array_equal(stream.standard_normal(4),
+                                  oracle_stream.standard_normal(4))
+    # a contiguous canonical input gives the same estimate
+    again = simulate_pilot_and_estimate(np.ascontiguousarray(h), a, stats,
+                                        SIGMA2, rng(61))
+    np.testing.assert_array_equal(again.h_hat, est.h_hat)
 
 
 @pytest.fixture(scope="module")

@@ -325,6 +325,42 @@ def test_draw_channels_repeatable():
     np.testing.assert_array_equal(h1, h2)
 
 
+def oracle_draw(stats, n_realizations, stream):
+    """The einsum form of draw_channels: the same stream draw, then
+    h = h_bar + scatter_cov^(1/2) z over the canonical (T, K, L, N) array."""
+    sqrt_cov = covariance_sqrt(stats.scatter_cov)
+    k, l, n = stats.mean_vec.shape
+    z = stream.standard_normal((2, n_realizations, k, l, n))
+    z = (z[0] + 1j * z[1]) / math.sqrt(2.0)
+    return stats.mean_vec[None] + np.einsum("klij,tklj->tkli", sqrt_cov, z)
+
+
+def random_link_stats(r, k, l, n):
+    """Random means and PSD covariances for K x L links; one link has no
+    scattering and one a rank-one covariance."""
+    x = r.standard_normal((k, l, n, n)) + 1j * r.standard_normal((k, l, n, n))
+    cov = x @ np.conj(x).swapaxes(-1, -2) * 1e-10
+    cov[0, 0] = 0.0
+    a = x[1, -1, :, :1]
+    cov[1, -1] = a @ np.conj(a).T * 1e-10
+    mean = 1e-5 * (r.standard_normal((k, l, n)) + 1j * r.standard_normal((k, l, n)))
+    return ChannelStats(mean_vec=mean, scatter_cov=cov, corr=cov,
+                        los_steering=np.ones((k, l, n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_draw_channels_matches_einsum_oracle(n):
+    stats = random_link_stats(rng(20 + n), k=7, l=3, n=n)
+    stream, oracle_stream = rng(30), rng(30)
+    h = draw_channels(stats, 45, stream)
+    want = oracle_draw(stats, 45, oracle_stream)
+    assert h.shape == (45, 7, 3, n)
+    assert np.max(np.abs(h - want)) <= 1e-12 * np.max(np.abs(want))
+    # both consumed the stream identically
+    np.testing.assert_array_equal(stream.standard_normal(4),
+                                  oracle_stream.standard_normal(4))
+
+
 def test_draw_channels_rejects_non_psd():
     bad = np.array([[[[1.0, 0.0], [0.0, -0.5]]]], dtype=complex)
     stats = ChannelStats(mean_vec=np.zeros((1, 1, 2)), scatter_cov=bad,

@@ -376,7 +376,7 @@ def test_gram_cholesky_pivots_bounded_by_noise(n):
     h, est, p = kernel_case(n, 3, t=9, seed=40 + n)
     sigma2 = 1e-3
     base = receiver._base_gram(est, p, sigma2)
-    c = receiver._gram_cholesky(receiver._solver_layout(est.h_hat), base, p)
+    c = receiver._gram_cholesky(receiver.solver_layout(est.h_hat), base, p)
     for j in range(n):
         assert np.all(np.isfinite(c[j][j]))
         assert np.all(c[j][j] ** 2 >= sigma2 * (1.0 - 1e-12))
