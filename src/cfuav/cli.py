@@ -50,6 +50,8 @@ def main(argv=None) -> int:
                       if args.uavs else [config.num_uavs])
         schemes = ([parse_scheme(s) for s in args.schemes.split(",") if s.strip()]
                    if args.schemes else list(ALL_SCHEMES))
+        if not uav_counts or not schemes:
+            raise ValueError("--uavs and --schemes need at least one item")
         # each O-RU serves at most tau_p UAVs, so no association exists
         # for more than L * tau_p of them
         capacity = config.num_orus * config.pilot_len
@@ -60,15 +62,23 @@ def main(argv=None) -> int:
                 f"{config.num_orus} * {config.pilot_len} = {capacity}")
 
         records = []
+        failed = 0
         for k in uav_counts:
             cfg_k = replace(config, num_uavs=k)
             if args.dump_links:
                 stem, dot, ext = args.out.rpartition(".")
                 base = stem if dot else args.out
                 dump_links(cfg_k, 0, f"{base}_links_K{k}.csv")
-            records.extend(run_monte_carlo(cfg_k, schemes, n_jobs=args.jobs))
+            got, failed_trials = run_monte_carlo(cfg_k, schemes,
+                                                 n_jobs=args.jobs)
+            records.extend(got)
+            failed += len(failed_trials)
         path, agg_path = write_results(records, args.out)
         print(f"wrote {len(records)} records to {path} (aggregate: {agg_path})")
+        if failed:
+            print(f"error: {failed} of {config.trials * len(uav_counts)} "
+                  f"trials failed", file=sys.stderr)
+            return 1
         return 0
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -156,20 +156,23 @@ def _worker(args):
 
 
 def run_monte_carlo(config: ExperimentConfig, schemes=None,
-                    n_jobs: int = 1) -> list:
-    """Run all trials of one configuration and return the metric records,
-    sorted by (trial, scheme). Failed trials are logged and skipped."""
+                    n_jobs: int = 1):
+    """Run all trials of one configuration. Returns (records, failed): the
+    metric records sorted by (trial, scheme), and the indices of the trials
+    that raised, which are logged and contribute no record."""
     if schemes is None:
         schemes = list(ALL_SCHEMES)
     labels = [s.label for s in schemes]
     tasks = [(config, t, labels) for t in range(config.trials)]
     records = []
+    failed = []
     if n_jobs <= 1:
         for task in tasks:
             try:
                 records.extend(_worker(task))
             except Exception:
                 log.exception("trial %d failed; continuing", task[1])
+                failed.append(task[1])
     else:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             futures = [(t, pool.submit(_worker, task))
@@ -179,8 +182,9 @@ def run_monte_carlo(config: ExperimentConfig, schemes=None,
                     records.extend(fut.result())
                 except Exception:
                     log.exception("trial %d failed; continuing", trial_index)
+                    failed.append(trial_index)
     records.sort(key=lambda r: (r.num_uavs, r.trial, r.scheme))
-    return records
+    return records, failed
 
 
 def _fmt(value) -> str:

@@ -10,7 +10,17 @@ Two solvers over the same coefficient form:
   interior-point-style solver it replaces.
 
 Both keep the best feasible (p, min-SINR) pair seen, starting from full
-power, so they never return a worse minimum than full-power transmission."""
+power, so they never return a worse minimum than full-power transmission.
+
+The vectors are short (K UAVs), so a probe's cost is per-call overhead, not
+arithmetic. A fixed-point sweep runs a handful of in-place ufunc calls and
+two ndarray reductions. An exact probe solves first: a positive solution
+certifies that the Z-matrix diag(a - g d) - g B is a nonsingular M-matrix,
+i.e. rho(g D^-1 B) < 1; a clearly negative entry rejects the target either
+way, so the eigenvalue test runs only for a solution with its smallest entry
+in [-1e-12 p_max, 0]. Both keep the operands and the order of every
+floating-point operation of the plain expressions, so the probe decisions,
+iteration counts and powers do not depend on these shortcuts."""
 
 import time
 from dataclasses import dataclass, field
@@ -29,6 +39,7 @@ class FixedPointResult(NamedTuple):
     p: np.ndarray
     converged: bool
     iterations: int
+    capped: bool = False  # stopped at n_max_fp without converging
 
 
 def fixed_point_min_power(coef: SinrCoefficients, gamma_target: float,
@@ -38,24 +49,34 @@ def fixed_point_min_power(coef: SinrCoefficients, gamma_target: float,
     p_k <- gamma (sum_{i!=k} b_ki p_i + c_k) / (a_k - gamma d_k).
 
     Starts from full power; when the target is unreachable for some UAV
-    (a_k <= gamma d_k) the iterate is +inf so the caller's box check fails."""
+    (a_k <= gamma d_k) the iterate is +inf so the caller's box check fails.
+    Each sweep evaluates gamma (B p + c) / denom in that order, in place; every
+    term is >= 0, so a single NaN-safe comparison of the largest entry with
+    the bail level also catches non-finite iterates."""
     if gamma_target <= 0:
         raise ValueError("gamma_target must be positive")
     denom = coef.a - gamma_target * coef.d
     k = coef.num_uavs
-    if np.any(denom <= 0):
+    if (denom <= 0).any():
         return FixedPointResult(np.full(k, np.inf), False, 0)
+    b, c = coef.b, coef.c
     p = full_power(k, p_max)
+    diff = np.empty(k)
     bail = 1e9 * p_max  # diverging iterate: the target is infeasible anyway
+    tol = eps_fp * p_max
     for n in range(1, n_max_fp + 1):
-        p_new = gamma_target * (coef.b @ p + coef.c) / denom
-        if not np.all(np.isfinite(p_new)) or np.max(p_new) > bail:
+        p_new = b @ p
+        p_new += c
+        p_new *= gamma_target
+        p_new /= denom
+        if not p_new.max() <= bail:
             return FixedPointResult(np.full(k, np.inf), False, n)
-        delta = np.max(np.abs(p_new - p))
+        np.subtract(p_new, p, out=diff)
+        np.abs(diff, out=diff)
         p = p_new
-        if delta < eps_fp * p_max:
+        if diff.max() < tol:
             return FixedPointResult(p, True, n)
-    return FixedPointResult(p, False, n_max_fp)
+    return FixedPointResult(p, False, n_max_fp, True)
 
 
 @dataclass
@@ -65,6 +86,7 @@ class PowerControlResult:
     p_star: np.ndarray
     gamma_star: float
     fp_iterations: int = 0
+    fp_capped: int = 0           # probes whose fixed point hit n_max_fp
     bisect_iterations: int = 0
     feasible: bool = True
     elapsed: float = 0.0
@@ -109,14 +131,15 @@ def bg_fppc(coef: SinrCoefficients, p_max: float, eps_bisect: float = 1e-4,
         g_mid = 0.5 * (g_lo + g_hi)
         fp = fixed_point_min_power(coef, g_mid, p_max, eps_fp, n_max_fp)
         res.fp_iterations += fp.iterations
+        res.fp_capped += fp.capped
         res.work_ops += fp.iterations * k * k
-        ok = bool(np.max(fp.p) <= p_max)
+        ok = bool(fp.p.max() <= p_max)
         if record_probes:
             res.probes.append((g_mid, ok))
         if ok:
             g_lo = g_mid
             p_cand = np.minimum(fp.p, p_full)
-            achieved = float(np.min(sinr(coef, p_cand)))
+            achieved = float(sinr(coef, p_cand).min())
             res.probe_gap_max = max(res.probe_gap_max,
                                     abs(g_mid - achieved) / g_mid)
             if achieved > res.gamma_star:
@@ -129,19 +152,28 @@ def bg_fppc(coef: SinrCoefficients, p_max: float, eps_bisect: float = 1e-4,
 
 def _exact_min_power(coef: SinrCoefficients, gamma: float, p_max: float):
     """Exact feasibility probe: the minimal power vector at target gamma, or
-    None when the target is infeasible (even ignoring the cap)."""
+    None when the target is infeasible (even ignoring the cap).
+
+    m = diag(a - gamma d) - gamma B is a Z-matrix. A solution of m p = gamma c
+    with every entry > 0 makes it a nonsingular M-matrix, which certifies
+    rho(gamma D^-1 B) < 1. When rho < 1, m^-1 >= 0 and the exact solution is
+    >= 0, so an entry below the rounding allowance rejects the target
+    whatever the spectral radius. The eigenvalue test thus runs only when
+    the smallest entry lies in [-1e-12 p_max, 0]."""
     denom = coef.a - gamma * coef.d
-    if np.any(denom <= 0):
-        return None
-    scaled_b = gamma * coef.b / denom[:, None]
-    if np.max(np.abs(np.linalg.eigvals(scaled_b))) >= 1.0:
+    if (denom <= 0).any():
         return None
     m = np.diag(denom) - gamma * coef.b
     try:
         p = np.linalg.solve(m, gamma * coef.c)
     except np.linalg.LinAlgError:
         return None
-    if np.any(p < -1e-12 * p_max):
+    if p.min() > 0:
+        return p
+    if (p < -1e-12 * p_max).any():
+        return None
+    scaled_b = gamma * coef.b / denom[:, None]
+    if np.abs(np.linalg.eigvals(scaled_b)).max() >= 1.0:
         return None
     return np.clip(p, 0.0, None)
 
@@ -161,9 +193,11 @@ def reference_max_min(coef: SinrCoefficients, p_max: float, tol: float = 1e-6,
     if not np.any(coef.a > 0):
         return _finish(res, coef, gamma_floor, t0)
 
+    p_cap = p_max * (1 + 1e-12)
+
     def probe(gamma):
         p = _exact_min_power(coef, gamma, p_max)
-        if p is None or np.max(p) > p_max * (1 + 1e-12):
+        if p is None or p.max() > p_cap:
             return None
         return np.minimum(p, p_full)
 
@@ -187,7 +221,7 @@ def reference_max_min(coef: SinrCoefficients, p_max: float, tol: float = 1e-6,
         res.work_ops += k ** 3
         if p is not None:
             g_lo = g_mid
-            achieved = float(np.min(sinr(coef, p)))
+            achieved = float(sinr(coef, p).min())
             if achieved > res.gamma_star:
                 res.p_star = p
                 res.gamma_star = achieved

@@ -265,10 +265,11 @@ def sinr(coef: SinrCoefficients, p) -> np.ndarray:
     """Gamma_k(p) for a power vector inside the box; unserved UAVs get 0."""
     p = np.asarray(p, dtype=float)
     num = p * coef.a
-    den = p * coef.d + coef.b @ p + coef.c
-    out = np.zeros_like(num)
-    ok = (num > 0) & (den > 0)
-    out[ok] = num[ok] / den[ok]
+    den = coef.b @ p          # same sums as p d + B p + c: + commutes
+    den += p * coef.d
+    den += coef.c
+    out = np.zeros(num.shape)
+    np.divide(num, den, out=out, where=(num > 0) & (den > 0))
     return out
 
 

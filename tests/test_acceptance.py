@@ -268,7 +268,7 @@ def test_criterion_11_reproducibility(tmp_path):
     schemes = [SchemeId("BA", "FP"), SchemeId("PA", "PP")]
     paths = []
     for jobs in (1, 8):
-        records = run_monte_carlo(cfg, schemes, n_jobs=jobs)
+        records, _ = run_monte_carlo(cfg, schemes, n_jobs=jobs)
         path, _ = write_results(records, tmp_path / f"run_j{jobs}.csv")
         paths.append(path)
 

@@ -1,5 +1,6 @@
 import pytest
 
+from cfuav import harness
 from cfuav.cli import main
 from cfuav.harness import read_results
 
@@ -41,6 +42,16 @@ def test_bad_scheme_fails_with_reason(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--uavs", "--schemes"])
+def test_empty_list_fails_before_any_trial(tmp_path, capsys, flag):
+    out = tmp_path / "x.csv"
+    code = main(["--desk-scale", "--trials", "1", flag, ",", "--out",
+                 str(out)])
+    assert code == 1
+    assert "at least one item" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_uav_count_above_pilot_capacity_fails_before_any_trial(tmp_path, capsys):
     # desk scale has L * tau_p = 25 * 5 = 125; 130 cannot be associated
     out = tmp_path / "x.csv"
@@ -50,6 +61,26 @@ def test_uav_count_above_pilot_capacity_fails_before_any_trial(tmp_path, capsys)
     err = capsys.readouterr().err
     assert "error:" in err and "[130]" in err and "125" in err
     assert not out.exists()
+
+
+def test_failed_trial_still_writes_csv_and_exits_one(tmp_path, capsys,
+                                                    monkeypatch):
+    run_trial = harness.run_trial
+
+    def fail_trial_zero(config, trial_index, schemes):
+        if trial_index == 0:
+            raise RuntimeError("injected trial failure")
+        return run_trial(config, trial_index, schemes)
+
+    monkeypatch.setattr(harness, "run_trial", fail_trial_zero)
+    out = tmp_path / "x.csv"
+    code = main(["--desk-scale", "--trials", "2", "--uavs", "3",
+                 "--schemes", "BA+FP", "--out", str(out), "--jobs", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "error: 1 of 2 trials failed" in captured.err
+    assert "wrote 1 records" in captured.out
+    assert [r.trial for r in read_results(out)] == [1]
 
 
 def test_missing_config_file_fails(tmp_path, capsys):

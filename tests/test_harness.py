@@ -103,33 +103,33 @@ def _strip_runtime(records):
 
 
 def test_run_monte_carlo_cardinality(tiny_config):
-    records = run_monte_carlo(tiny_config, [SchemeId("BA", "FP")])
+    records, _ = run_monte_carlo(tiny_config, [SchemeId("BA", "FP")])
     assert len(records) == 2  # trials=2, one scheme
     assert [r.trial for r in records] == [0, 1]
 
 
 def test_run_monte_carlo_defaults_to_all_schemes(tiny_config):
     import dataclasses
-    records = run_monte_carlo(dataclasses.replace(tiny_config, trials=1))
+    records, _ = run_monte_carlo(dataclasses.replace(tiny_config, trials=1))
     assert sorted(r.scheme for r in records) == sorted(s.label
                                                        for s in ALL_SCHEMES)
 
 
 def test_run_monte_carlo_deterministic(tiny_config):
-    r1 = run_monte_carlo(tiny_config, [SchemeId("BA", "PP")])
-    r2 = run_monte_carlo(tiny_config, [SchemeId("BA", "PP")])
+    r1, _ = run_monte_carlo(tiny_config, [SchemeId("BA", "PP")])
+    r2, _ = run_monte_carlo(tiny_config, [SchemeId("BA", "PP")])
     assert _strip_runtime(r1) == _strip_runtime(r2)
 
 
 def test_run_monte_carlo_parallel_matches_serial(tiny_config):
-    serial = run_monte_carlo(tiny_config, [SchemeId("BA", "PP")], n_jobs=1)
-    parallel = run_monte_carlo(tiny_config, [SchemeId("BA", "PP")], n_jobs=2)
+    serial, _ = run_monte_carlo(tiny_config, [SchemeId("BA", "PP")], n_jobs=1)
+    parallel, _ = run_monte_carlo(tiny_config, [SchemeId("BA", "PP")], n_jobs=2)
     assert _strip_runtime(serial) == _strip_runtime(parallel)
 
 
 def test_run_monte_carlo_sorted_by_trial_and_scheme(tiny_config):
-    records = run_monte_carlo(tiny_config, [SchemeId("PA", "FP"),
-                                            SchemeId("BA", "FP")])
+    records, _ = run_monte_carlo(tiny_config, [SchemeId("PA", "FP"),
+                                               SchemeId("BA", "FP")])
     keys = [(r.trial, r.scheme) for r in records]
     assert keys == sorted(keys)
 
@@ -146,8 +146,9 @@ def test_run_monte_carlo_continues_after_trial_failure(tiny_config, monkeypatch,
 
     monkeypatch.setattr(harness_mod, "run_trial", flaky)
     with caplog.at_level("ERROR", logger="cfuav.harness"):
-        records = run_monte_carlo(tiny_config, [SchemeId("BA", "FP")])
+        records, failed = run_monte_carlo(tiny_config, [SchemeId("BA", "FP")])
     assert [r.trial for r in records] == [1]
+    assert failed == [0]
     assert any("trial 0" in m for m in caplog.messages)
 
 
@@ -224,7 +225,7 @@ def test_write_results_bad_path_raises():
 
 
 def test_six_schemes_times_trials_rows(tiny_config, tmp_path):
-    records = run_monte_carlo(tiny_config, list(ALL_SCHEMES))
+    records, _ = run_monte_carlo(tiny_config, list(ALL_SCHEMES))
     assert len(records) == 6 * tiny_config.trials
     path, _ = write_results(records, tmp_path / "all.csv")
     assert len(open(path).read().splitlines()) == 1 + 12

@@ -1,9 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cfuav.powerctl import (bg_fppc, fixed_point_min_power, full_power,
-                            reference_max_min)
+from cfuav import powerctl
+from cfuav.association import baseline_association
+from cfuav.harness import prepare_trial
+from cfuav.orchestrator import evaluate_association
+from cfuav.powerctl import (FixedPointResult, bg_fppc, fixed_point_min_power,
+                            full_power, reference_max_min)
 from cfuav.receiver import SinrCoefficients, sinr
+from cfuav.scenario import ExperimentConfig, desk_scale
 from tests.conftest import make_coefficients
 
 # tight inner-loop settings under which the fixed point actually converges;
@@ -268,3 +275,262 @@ def test_complexity_scaling_quadratic_work():
         work.append(res.work_ops)
     fit = np.polyfit(np.log(ks), np.log(work), 1)[0]
     assert 1.7 <= fit <= 2.3
+
+
+# ----------------------------------------------------------------- oracles
+# The probes and the SINR map in their plain array-expression form: a fresh
+# array per operation, the finiteness test apart from the bail test, and the
+# spectral test before every exact solve. The production code computes the
+# same arithmetic in place and certifies rho < 1 from a positive solution;
+# it must reproduce every decision and every bit.
+
+def oracle_fixed_point(coef, gamma_target, p_max, eps_fp, n_max_fp):
+    if gamma_target <= 0:
+        raise ValueError("gamma_target must be positive")
+    denom = coef.a - gamma_target * coef.d
+    k = coef.num_uavs
+    if np.any(denom <= 0):
+        return FixedPointResult(np.full(k, np.inf), False, 0)
+    p = full_power(k, p_max)
+    bail = 1e9 * p_max
+    for n in range(1, n_max_fp + 1):
+        p_new = gamma_target * (coef.b @ p + coef.c) / denom
+        if not np.all(np.isfinite(p_new)) or np.max(p_new) > bail:
+            return FixedPointResult(np.full(k, np.inf), False, n)
+        delta = np.max(np.abs(p_new - p))
+        p = p_new
+        if delta < eps_fp * p_max:
+            return FixedPointResult(p, True, n)
+    return FixedPointResult(p, False, n_max_fp, True)
+
+
+def oracle_exact_min_power(coef, gamma, p_max):
+    denom = coef.a - gamma * coef.d
+    if np.any(denom <= 0):
+        return None
+    scaled_b = gamma * coef.b / denom[:, None]
+    if np.max(np.abs(np.linalg.eigvals(scaled_b))) >= 1.0:
+        return None
+    m = np.diag(denom) - gamma * coef.b
+    try:
+        p = np.linalg.solve(m, gamma * coef.c)
+    except np.linalg.LinAlgError:
+        return None
+    if np.any(p < -1e-12 * p_max):
+        return None
+    return np.clip(p, 0.0, None)
+
+
+def oracle_sinr(coef, p):
+    p = np.asarray(p, dtype=float)
+    num = p * coef.a
+    den = p * coef.d + coef.b @ p + coef.c
+    out = np.zeros_like(num)
+    ok = (num > 0) & (den > 0)
+    out[ok] = num[ok] / den[ok]
+    return out
+
+
+def solve_both_ways(monkeypatch, solver, coef, **kwargs):
+    """(production result, result with every probe and SINR from the oracles)."""
+    res = solver(coef, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(powerctl, "fixed_point_min_power", oracle_fixed_point)
+        m.setattr(powerctl, "_exact_min_power", oracle_exact_min_power)
+        m.setattr(powerctl, "sinr", oracle_sinr)
+        ref = solver(coef, **kwargs)
+    return res, ref
+
+
+def assert_same_solve(res, ref):
+    assert res.p_star.tobytes() == ref.p_star.tobytes()
+    assert res.gamma_star == ref.gamma_star
+    for name in ("fp_iterations", "fp_capped", "bisect_iterations",
+                 "probe_gap_max", "probes", "feasible", "work_ops"):
+        assert getattr(res, name) == getattr(ref, name), name
+
+
+def assert_same_fixed_point(res, ref):
+    assert res.p.tobytes() == ref.p.tobytes()
+    assert res[1:] == ref[1:]
+
+
+def assert_same_probe(p, ref):
+    assert (p is None) == (ref is None)
+    if p is not None:
+        assert p.tobytes() == ref.tobytes()
+
+
+PRODUCTION = dict(eps_bisect=1e-4, eps_fp=1e-3, n_max_fp=20)
+
+
+@pytest.mark.parametrize("settings", ["production", "tight"])
+def test_solvers_match_oracles_on_random_instances(monkeypatch, settings):
+    r = rng(14)
+    bg_kwargs = PRODUCTION if settings == "production" else dict(
+        eps_bisect=1e-4, **TIGHT)
+    tol = 1e-4 if settings == "production" else 1e-9
+    for _ in range(200):
+        coef = make_coefficients(r, int(r.integers(1, 21)))
+        assert_same_solve(*solve_both_ways(monkeypatch, bg_fppc, coef,
+                                           p_max=0.2, record_probes=True,
+                                           **bg_kwargs))
+        assert_same_solve(*solve_both_ways(monkeypatch, reference_max_min,
+                                           coef, p_max=0.2, tol=tol))
+
+
+@pytest.fixture(scope="module")
+def desk_coefficient_sets():
+    """BA coefficients at full power of real desk trials, K in {5, 10, 20}:
+    what BA+PP and BA+TP hand to their solvers."""
+    sets = []
+    for k in (5, 10, 20):
+        config = desk_scale(ExperimentConfig(), num_uavs=k, master_seed=2026)
+        for trial in range(2):
+            data = prepare_trial(config, trial)
+            a = baseline_association(data.beta, config.pilot_len, config.n_top)
+            coef, _ = evaluate_association(
+                data.moments_full, a, data.beta, data.sigma2,
+                full_power(k, config.p_max_w), config)
+            sets.append((config, coef))
+    return sets
+
+
+def test_solvers_match_oracles_on_desk_coefficients(monkeypatch,
+                                                    desk_coefficient_sets):
+    for config, coef in desk_coefficient_sets:
+        floor = config.qos_sinr_floor
+        for inner in (dict(eps_fp=config.eps_fp, n_max_fp=config.n_max_fp),
+                      TIGHT):
+            assert_same_solve(*solve_both_ways(
+                monkeypatch, bg_fppc, coef, p_max=config.p_max_w,
+                eps_bisect=config.eps_bisect, gamma_floor=floor,
+                record_probes=True, **inner))
+        for tol in (config.eps_bisect, 1e-9):
+            assert_same_solve(*solve_both_ways(
+                monkeypatch, reference_max_min, coef, p_max=config.p_max_w,
+                tol=tol, gamma_floor=floor))
+
+
+def test_fixed_point_matches_oracle_on_edge_inputs():
+    cases = [
+        # a - gamma d <= 0: no sweep at all
+        (coef_of([1.0], [2.0], [[0.0]], [0.1]), 1.0),
+        # rho(gamma D^-1 B) = 10: the iterate grows tenfold per sweep and
+        # passes the bail level
+        (coef_of([1.0, 1.0], [0.0, 0.0], [[0.0, 10.0], [10.0, 0.0]],
+                 [0.1, 0.1]), 1.0),
+        # a NaN coefficient: the first sweep is not finite
+        (coef_of([1.0, 1.0], [0.0, 0.0], np.zeros((2, 2)), [0.1, np.nan]),
+         1.0),
+        # converges in a few sweeps
+        (coef_of([1.0, 1.0], [0.0, 0.0], [[0.0, 0.5], [0.5, 0.0]],
+                 [0.1, 0.1]), 1.0),
+        # rho = 0.99: stops at the cap
+        (coef_of([1.0, 1.0], [0.0, 0.0], [[0.0, 0.99], [0.99, 0.0]],
+                 [0.1, 0.1]), 1.0),
+    ]
+    outcomes = []
+    for coef, gamma in cases:
+        res = fixed_point_min_power(coef, gamma, 1.0, 1e-3, 20)
+        assert_same_fixed_point(res, oracle_fixed_point(coef, gamma, 1.0,
+                                                        1e-3, 20))
+        outcomes.append((res.converged, res.capped, np.isinf(res.p).all(),
+                         res.iterations))
+    assert outcomes[0] == (False, False, True, 0)
+    assert outcomes[1][:3] == (False, False, True) and outcomes[1][3] > 1
+    assert outcomes[2] == (False, False, True, 1)
+    assert outcomes[3][:3] == (True, False, False)
+    assert outcomes[4] == (False, True, False, 20)
+
+
+def test_exact_probe_matches_oracle_on_edge_inputs(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda x: calls.append(1) or eigvals(x))
+    cases = [
+        # positive solution: certified, no spectral test
+        (coef_of([1.0, 1.0], [0.0, 0.0], [[0.0, 0.5], [0.5, 0.0]],
+                 [0.1, 0.1]), 1.0, 0, True),
+        # a - gamma d <= 0
+        (coef_of([1.0], [2.0], [[0.0]], [0.1]), 1.0, 0, False),
+        # rho = 2: the solution has negative entries, which reject the
+        # target without a spectral test
+        (coef_of([1.0, 1.0], [0.0, 0.0], [[0.0, 2.0], [2.0, 0.0]],
+                 [0.1, 0.1]), 1.0, 0, False),
+        # rho = 2 and no noise: the solution is 0, the spectral test rejects
+        (coef_of([1.0, 1.0], [0.0, 0.0], [[0.0, 2.0], [2.0, 0.0]],
+                 [0.0, 0.0]), 1.0, 1, False),
+        # rho = 1: m is singular and the solve fails
+        (coef_of([1.0, 1.0], [0.0, 0.0], [[0.0, 1.0], [1.0, 0.0]],
+                 [0.1, 0.1]), 1.0, 0, False),
+        # a zero noise term with no interference into that UAV: an exact
+        # zero power, so the spectral test decides (rho = 0)
+        (coef_of([1.0, 1.0], [0.0, 0.0], [[0.0, 0.0], [0.1, 0.0]],
+                 [0.0, 0.1]), 1.0, 1, True),
+    ]
+    for coef, gamma, n_eig, feasible in cases:
+        calls.clear()
+        p = powerctl._exact_min_power(coef, gamma, 1.0)
+        assert len(calls) == n_eig
+        assert (p is not None) == feasible
+        assert_same_probe(p, oracle_exact_min_power(coef, gamma, 1.0))
+
+
+def test_bg_fppc_matches_oracle_through_infeasible_probes(monkeypatch):
+    # one strong UAV sets the bracket far above what the coupled pair can
+    # reach: early probes have a - gamma d <= 0 or diverge to the bail level
+    cases = [coef_of([1.0, 1.0], [1.0, 0.0], np.zeros((2, 2)), [0.1, 1e-3]),
+             coef_of([100.0, 1.0, 1.0], [0.0, 0.0, 0.0],
+                     [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+                     [0.1, 0.1, 0.1])]
+    first_sweeps = []
+    for coef in cases:
+        res, ref = solve_both_ways(monkeypatch, bg_fppc, coef, p_max=0.2,
+                                   record_probes=True, **PRODUCTION)
+        assert_same_solve(res, ref)
+        first = fixed_point_min_power(coef, res.probes[0][0], 0.2, 1e-3, 20)
+        assert not res.probes[0][1] and np.isinf(first.p).all()
+        first_sweeps.append(first.iterations)
+    assert first_sweeps[0] == 0 and 0 < first_sweeps[1] < 20
+
+
+def test_sinr_matches_oracle_bitwise():
+    r = rng(15)
+    for _ in range(50):
+        k = int(r.integers(1, 21))
+        coef = make_coefficients(r, k)
+        p = r.uniform(0.0, 0.2, k)
+        p[r.random(k) < 0.2] = 0.0   # unserved or silent UAVs
+        assert sinr(coef, p).tobytes() == oracle_sinr(coef, p).tobytes()
+    unserved = coef_of([0.0, 1.0], [0.0, 0.0], np.zeros((2, 2)), [0.0, 0.1])
+    for p in ([0.2, 0.2], [0.0, 0.0]):
+        assert sinr(unserved, p).tobytes() == oracle_sinr(unserved, p).tobytes()
+
+
+# -------------------------------------------------------- fp_capped counter
+
+def test_fp_capped_counts_probes_stopped_at_cap(monkeypatch):
+    # weak noise makes the instance interference-limited: near gamma* the
+    # fixed point contracts slowly, so some production probes stop at
+    # n_max_fp = 20 while the tight settings converge on every probe
+    coef = make_coefficients(rng(16), 10)
+    coef = replace(coef, c=0.027 * coef.c)
+    probes = []
+
+    def recording_fixed_point(*args):
+        probes.append(fixed_point_min_power(*args))
+        return probes[-1]
+
+    monkeypatch.setattr(powerctl, "fixed_point_min_power",
+                        recording_fixed_point)
+    production = bg_fppc(coef, p_max=0.2, **PRODUCTION)
+    assert 0 < production.fp_capped <= production.bisect_iterations
+    assert production.fp_capped == sum(fp.capped for fp in probes)
+    assert all(fp.iterations == 20 and not fp.converged
+               for fp in probes if fp.capped)
+    probes.clear()
+    tight = bg_fppc(coef, p_max=0.2, eps_bisect=1e-4, **TIGHT)
+    assert tight.fp_capped == 0 and not any(fp.capped for fp in probes)
+    assert reference_max_min(coef, p_max=0.2).fp_capped == 0
