@@ -2,31 +2,4 @@
 channel simulation, association heuristics, max-min power control, and a
 Monte Carlo benchmark harness."""
 
-from .scenario import (ExperimentConfig, StreamKey, Topology, build_topology,
-                       derive_stream, desk_scale, load_config)
-from .propagation import (ChannelStats, LargeScaleLink, LinkGeometry,
-                          channel_stats, draw_channels, large_scale,
-                          link_geometry, los_probability, path_loss_db,
-                          sample_los_state, spatial_correlation,
-                          steering_vector)
-from .pilots import (EstimationResult, PilotAssignment, assign_pilots_random,
-                     error_covariance, psi_matrix, simulate_pilot_and_estimate)
-from .receiver import (ChannelMoments, CombinerSet, CpuWeights, SeVector,
-                       SinrCoefficients, assemble_coefficients,
-                       channel_moments, cpu_weights,
-                       estimate_sinr_coefficients, lmmse_combiner, sinr,
-                       spectral_efficiency)
-from .association import (AssociationInfeasibleError, baseline_association,
-                          propose_association, stage1_uav_centric,
-                          stage2_oru_centric, stage3_qos_refinement,
-                          validate_association)
-from .powerctl import (FixedPointResult, PowerControlResult, bg_fppc,
-                       fixed_point_min_power, full_power, reference_max_min)
-from .orchestrator import (ALL_SCHEMES, AoTrace, SchemeId, SchemeResult,
-                           TrialData, alternating_optimize, parse_scheme,
-                           run_scheme)
-from .harness import (MetricsRecord, jain_fairness, min_se, prepare_trial,
-                      read_results, run_monte_carlo, run_trial, success_rate,
-                      write_results)
-
 __version__ = "0.1.0"

@@ -61,14 +61,15 @@ def main(argv=None) -> int:
                 f"UAV count(s) {too_many} exceed num_orus * pilot_len = "
                 f"{config.num_orus} * {config.pilot_len} = {capacity}")
 
+        # build (and so validate) every per-K config before the first trial
+        configs = [replace(config, num_uavs=k) for k in uav_counts]
         records = []
         failed = 0
-        for k in uav_counts:
-            cfg_k = replace(config, num_uavs=k)
+        for cfg_k in configs:
             if args.dump_links:
                 stem, dot, ext = args.out.rpartition(".")
                 base = stem if dot else args.out
-                dump_links(cfg_k, 0, f"{base}_links_K{k}.csv")
+                dump_links(cfg_k, 0, f"{base}_links_K{cfg_k.num_uavs}.csv")
             got, failed_trials = run_monte_carlo(cfg_k, schemes,
                                                  n_jobs=args.jobs)
             records.extend(got)

@@ -84,18 +84,25 @@ def min_se(se) -> float:
     return float(np.min(x))
 
 
+def large_scale_state(config: ExperimentConfig, trial_index: int, streams):
+    """One trial's link geometry and large-scale state (path loss, LoS,
+    shadowing, Rician K), drawn from its topology, los-state, shadowing and
+    rician-k streams. Returns (geometry, large-scale links)."""
+    topo = build_topology(config, StreamKey(config.master_seed, trial_index,
+                                            "topology"))
+    geom = link_geometry(topo)
+    is_los = sample_los_state(los_probability(geom), streams["los-state"])
+    ls = large_scale(geom, is_los, config, streams["shadowing"],
+                     streams["rician-k"])
+    return geom, ls
+
+
 def prepare_trial(config: ExperimentConfig, trial_index: int) -> TrialData:
     """Generate one trial's channel world: topology, large-scale links,
     channel statistics, pilots, the realization ensemble and its estimates,
     plus cached full-power combiner moments."""
     streams = trial_streams(config, trial_index)
-    topo = build_topology(config, StreamKey(config.master_seed, trial_index,
-                                            "topology"))
-    geom = link_geometry(topo)
-    p_los = los_probability(geom)
-    is_los = sample_los_state(p_los, streams["los-state"])
-    ls = large_scale(geom, is_los, config, streams["shadowing"],
-                     streams["rician-k"])
+    geom, ls = large_scale_state(config, trial_index, streams)
     n_ant = config.antennas_per_oru
     offset = config.array_azimuth_offset_deg
     a_los = steering_vector(geom, n_ant, offset)
@@ -261,14 +268,10 @@ def read_results(path) -> list:
 
 
 def dump_links(config: ExperimentConfig, trial_index: int, path) -> str:
-    """Debug dump of per-link large-scale state for one trial."""
-    streams = trial_streams(config, trial_index)
-    topo = build_topology(config, StreamKey(config.master_seed, trial_index,
-                                            "topology"))
-    geom = link_geometry(topo)
-    is_los = sample_los_state(los_probability(geom), streams["los-state"])
-    ls = large_scale(geom, is_los, config, streams["shadowing"],
-                     streams["rician-k"])
+    """Debug dump of per-link large-scale state for one trial; the state is
+    the one prepare_trial builds for the same (config, trial)."""
+    _, ls = large_scale_state(config, trial_index,
+                              trial_streams(config, trial_index))
     path = str(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

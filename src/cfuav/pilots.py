@@ -1,8 +1,10 @@
 """Pilot assignment and MMSE channel estimation under pilot contamination.
 
 UAVs sharing a pilot despread onto the same observation, so their estimates
-pick up each other's channels. The estimator works per link from the pilot
-Gram matrix Psi = tau_p^2 * sum_{i in P_k} p_i C_il + tau_p * sigma^2 * I.
+pick up each other's channels. Each link's MMSE estimator uses the pilot
+Gram matrix Psi = tau_p^2 * sum_{i in P_k} p_i C_il + tau_p * sigma^2 * I;
+_estimation_matrices builds Psi, the MMSE filter and the split
+C = C_hat + C_err for all (K, L) links in one batched pass.
 The pilot phase runs in the solver layout (L, N, T, K) of the channel
 ensemble (see propagation.solver_layout): despreading is one GEMM over the
 UAV axis, and the estimates are written by propagation.link_affine, so
@@ -54,34 +56,6 @@ def assign_pilots_random(num_uavs: int, tau_p: int,
         raise ValueError("tau_p must be >= 1")
     pilot_of = stream.integers(0, tau_p, size=num_uavs)
     return make_assignment(pilot_of, tau_p, pilot_power_w)
-
-
-def psi_matrix(k: int, l: int, assignment: PilotAssignment,
-               stats: ChannelStats, sigma2: float) -> np.ndarray:
-    """Pilot-observation covariance for UAV k at O-RU l."""
-    n = stats.scatter_cov.shape[-1]
-    tau = assignment.tau_p
-    psi = tau * sigma2 * np.eye(n, dtype=complex)
-    for i in assignment.share_sets[k]:
-        psi = psi + tau ** 2 * assignment.pilot_power[i] * stats.scatter_cov[i, l]
-    return psi
-
-
-def error_covariance(k: int, l: int, assignment: PilotAssignment,
-                     stats: ChannelStats, sigma2: float):
-    """MMSE estimation split for one link: returns (C_err, C_hat) with
-    C_hat = tau_p^2 p_k C Psi^{-1} C and C_err = C - C_hat."""
-    cov = stats.scatter_cov[k, l]
-    if not np.any(cov):
-        zero = np.zeros_like(cov)
-        return zero, zero.copy()
-    psi = psi_matrix(k, l, assignment, stats, sigma2)
-    gain = assignment.tau_p ** 2 * assignment.pilot_power[k]
-    c_hat = gain * (cov @ np.linalg.solve(psi, cov))
-    c_hat = 0.5 * (c_hat + np.conj(c_hat).T)
-    c_err = cov - c_hat
-    c_err = 0.5 * (c_err + np.conj(c_err).T)
-    return c_err, c_hat
 
 
 @dataclass(frozen=True)

@@ -106,7 +106,7 @@ def _finish(result: PowerControlResult, coef: SinrCoefficients,
 
 
 def bg_fppc(coef: SinrCoefficients, p_max: float, eps_bisect: float = 1e-4,
-            eps_fp: float = 1e-3, n_max_fp: int = 20, gamma_init=None,
+            eps_fp: float = 1e-3, n_max_fp: int = 20,
             gamma_floor: float | None = None,
             record_probes: bool = False) -> PowerControlResult:
     """Bisection-guided fixed-point max-min power control.
@@ -118,12 +118,10 @@ def bg_fppc(coef: SinrCoefficients, p_max: float, eps_bisect: float = 1e-4,
     t0 = time.perf_counter()
     k = coef.num_uavs
     p_full = full_power(k, p_max)
-    if gamma_init is None:
-        gamma_init = sinr(coef, p_full)
-    gamma_init = np.asarray(gamma_init, dtype=float)
+    gamma_full = sinr(coef, p_full)
     res = PowerControlResult(p_star=p_full.copy(),
-                             gamma_star=float(np.min(gamma_init)))
-    g_lo, g_hi = 0.0, 1.5 * float(np.max(gamma_init))
+                             gamma_star=float(np.min(gamma_full)))
+    g_lo, g_hi = 0.0, 1.5 * float(np.max(gamma_full))
     if g_hi <= 0:
         return _finish(res, coef, gamma_floor, t0)
     while (g_hi - g_lo) / g_hi > eps_bisect:
@@ -187,9 +185,9 @@ def reference_max_min(coef: SinrCoefficients, p_max: float, tol: float = 1e-6,
     t0 = time.perf_counter()
     k = coef.num_uavs
     p_full = full_power(k, p_max)
-    gamma_init = sinr(coef, p_full)
+    gamma_full = sinr(coef, p_full)
     res = PowerControlResult(p_star=p_full.copy(),
-                             gamma_star=float(np.min(gamma_init)))
+                             gamma_star=float(np.min(gamma_full)))
     if not np.any(coef.a > 0):
         return _finish(res, coef, gamma_floor, t0)
 

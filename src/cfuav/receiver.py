@@ -1,6 +1,10 @@
 """Per-O-RU L-MMSE combining, CPU combining weights, and the Monte Carlo
 reduction of the uplink SINR into per-UAV coefficients.
 
+channel_moments is the one receiver pipeline: it solves and reduces the
+L-MMSE combiners block by block, never holding the (T, K, L, N) combiner
+tensor, and assemble_coefficients fuses the moments with the CPU weights.
+
 For a power vector p the SINR of UAV k is the rational form
 
     Gamma_k(p) = p_k a_k / (p_k d_k + sum_{i != k} b_ki p_i + c_k)
@@ -36,15 +40,6 @@ from .propagation import solver_layout
 
 _CHUNK = 32  # realizations per accumulation block; fixed so sums are ordered
 _SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class CombinerSet:
-    """L-MMSE combiners for every realization and (UAV, O-RU) pair, tagged
-    with the power vector used inside the Gram matrix."""
-
-    v: np.ndarray      # (T, K, L, N)
-    power: np.ndarray  # (K,)
 
 
 @dataclass(frozen=True)
@@ -119,21 +114,6 @@ def _lmmse_solve(h_hat: np.ndarray, base: np.ndarray,
     return v
 
 
-def lmmse_combiner(est: EstimationResult, powers, sigma2: float) -> CombinerSet:
-    """v_kl = (sum_i p_i (h_hat_il h_hat_il^H + C_err_il) + sigma^2 I)^{-1} h_hat_kl
-    for every realization; the Gram matrix is factored once per (O-RU,
-    realization) and serves all K right-hand sides."""
-    powers = np.asarray(powers, dtype=float)
-    if np.any(powers < 0):
-        raise ValueError("powers must be non-negative")
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive for invertibility")
-    v = _lmmse_solve(solver_layout(est.h_hat),
-                     _base_gram(est, powers, sigma2), powers)
-    powers = np.broadcast_to(powers, (est.h_hat.shape[1],)).copy()
-    return CombinerSet(v=v.transpose(2, 3, 0, 1), power=powers)
-
-
 @dataclass(frozen=True)
 class ChannelMoments:
     """Ensemble averages feeding the SINR coefficients, tagged with the power
@@ -164,52 +144,36 @@ def _features(x: np.ndarray) -> np.ndarray:
     return f
 
 
-def _accumulate(h: np.ndarray, combiners, chunk: int):
-    """Moment sums of combiners against the channel ensemble h (T, K, L, N),
-    block by block in fixed realization order (identical results regardless
-    of caller parallelism). combiners(block) returns v for a realization
-    slice in solver layout; the channel block is the slice [:, :, block] of
-    h's solver layout. The g2 sum is one real GEMM per O-RU and block:
-    (K x N^2 t) f(v)^T times (N^2 t x K) f(h)."""
+def channel_moments(h: np.ndarray, est: EstimationResult, powers,
+                    sigma2: float, chunk: int = _CHUNK) -> ChannelMoments:
+    """L-MMSE combiner moments of the ensemble h (T, K, L, N) for one power
+    vector. The combiners are solved block by block and reduced as they
+    come, never held for all T. Blocks run in fixed realization order, so
+    the sums do not depend on caller parallelism. A block is the slice
+    [:, :, t0:t0 + chunk] of the solver layouts of h and h_hat; its g2 sum
+    is one real GEMM per O-RU, (K x N^2 t) f(v)^T times (N^2 t x K) f(h)."""
+    powers = np.asarray(powers, dtype=float)
+    base = _base_gram(est, powers, sigma2)
     t_num, k_num, l_num, n = h.shape
     hs = solver_layout(h)
+    h_hat = solver_layout(est.h_hat)
     s1 = np.zeros((l_num, k_num), dtype=complex)
     s2 = np.zeros((l_num, k_num, k_num))
     sn = np.zeros((l_num, k_num))
     for t0 in range(0, t_num, chunk):
         block = slice(t0, t0 + chunk)
         hb = hs[:, :, block]
-        v = combiners(block)
+        v = _lmmse_solve(h_hat[:, :, block], base, powers)
         fv = _features(v)
         s1 += np.einsum("lntk,lntk->lk", np.conj(v), hb)
         sn += fv[:, :n].sum(axis=(1, 2))
         s2 += np.matmul(fv.reshape(l_num, -1, k_num).swapaxes(1, 2),
                         _features(hb).reshape(l_num, -1, k_num))
-    return (np.ascontiguousarray(s1.T) / t_num,
-            np.ascontiguousarray(s2.transpose(1, 2, 0)) / t_num,
-            np.ascontiguousarray(sn.T) / t_num)
-
-
-def channel_moments(h: np.ndarray, est: EstimationResult, powers,
-                    sigma2: float, chunk: int = _CHUNK) -> ChannelMoments:
-    """L-MMSE combiner moments for one power vector: the combiners are solved
-    block by block and reduced as they come, never held for all T."""
-    powers = np.asarray(powers, dtype=float)
-    base = _base_gram(est, powers, sigma2)
-    h_hat = solver_layout(est.h_hat)
-    g1, g2, gn = _accumulate(
-        h, lambda block: _lmmse_solve(h_hat[:, :, block], base, powers), chunk)
-    return ChannelMoments(g1=g1, g2=g2, gn=gn, n_samples=h.shape[0],
+    g1 = np.ascontiguousarray(s1.T) / t_num
+    g2 = np.ascontiguousarray(s2.transpose(1, 2, 0)) / t_num
+    gn = np.ascontiguousarray(sn.T) / t_num
+    return ChannelMoments(g1=g1, g2=g2, gn=gn, n_samples=t_num,
                           power=powers.copy())
-
-
-def moments_from_combiners(h: np.ndarray, combiners: CombinerSet,
-                           chunk: int = _CHUNK) -> ChannelMoments:
-    """Same reduction as channel_moments but for externally supplied combiners."""
-    v = solver_layout(combiners.v)
-    g1, g2, gn = _accumulate(h, lambda block: v[:, :, block], chunk)
-    return ChannelMoments(g1=g1, g2=g2, gn=gn, n_samples=h.shape[0],
-                          power=np.asarray(combiners.power, dtype=float).copy())
 
 
 @dataclass(frozen=True)
@@ -245,20 +209,6 @@ def assemble_coefficients(moments: ChannelMoments, weights: CpuWeights,
     c = sigma2 * np.einsum("kl,kl->k", alpha2, moments.gn)
     return SinrCoefficients(a=a, d=d, b=b, c=c, clamp_count=clamp_count,
                             built_at_power=moments.power.copy())
-
-
-def estimate_sinr_coefficients(h: np.ndarray, est: EstimationResult,
-                               combiners: CombinerSet, association: np.ndarray,
-                               weights: CpuWeights,
-                               sigma2: float) -> SinrCoefficients:
-    """Full reduction from an ensemble of (channel, estimate, combiner) draws
-    to the coefficient form, gated by the association matrix."""
-    if est.h_hat.shape != h.shape or combiners.v.shape != h.shape:
-        raise ValueError("ensemble shapes do not match")
-    if np.any((np.asarray(association) > 0) != (weights.alpha > 0)):
-        raise ValueError("weights do not match the association matrix")
-    moments = moments_from_combiners(h, combiners)
-    return assemble_coefficients(moments, weights, sigma2)
 
 
 def sinr(coef: SinrCoefficients, p) -> np.ndarray:

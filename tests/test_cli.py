@@ -1,6 +1,6 @@
 import pytest
 
-from cfuav import harness
+from cfuav import cli, harness
 from cfuav.cli import main
 from cfuav.harness import read_results
 
@@ -60,6 +60,24 @@ def test_uav_count_above_pilot_capacity_fails_before_any_trial(tmp_path, capsys)
     assert code == 1
     err = capsys.readouterr().err
     assert "error:" in err and "[130]" in err and "125" in err
+    assert not out.exists()
+
+
+def test_bad_uav_count_fails_before_any_trial(tmp_path, capsys, monkeypatch):
+    # K = 5 is valid, K = 0 is not: no trial of either may run
+    calls = []
+
+    def count_run(config, schemes, n_jobs=1):
+        calls.append(config.num_uavs)
+        return [], []
+
+    monkeypatch.setattr(cli, "run_monte_carlo", count_run)
+    out = tmp_path / "x.csv"
+    code = main(["--desk-scale", "--trials", "3", "--uavs", "5,0",
+                 "--schemes", "BA+FP", "--out", str(out)])
+    assert code == 1
+    assert "num_uavs must be a positive count" in capsys.readouterr().err
+    assert len(calls) == 0
     assert not out.exists()
 
 

@@ -236,3 +236,15 @@ def test_dump_links(tiny_config, tmp_path):
     lines = open(path).read().splitlines()
     assert lines[0] == "uav,oru,beta,rician_k_linear,is_los"
     assert len(lines) == 1 + tiny_config.num_uavs * tiny_config.num_orus
+
+
+def test_dump_links_matches_prepare_trial(tiny_config, tmp_path):
+    # both draw the large-scale state of the same (config, trial) from one
+    # builder, so the dumped beta is prepare_trial's to 9 significant digits
+    path = dump_links(tiny_config, 1, tmp_path / "links.csv")
+    beta = prepare_trial(tiny_config, 1).beta
+    rows = open(path).read().splitlines()[1:]
+    assert len(rows) == beta.size
+    for row in rows:
+        k, l, value = row.split(",")[:3]
+        assert value == f"{beta[int(k), int(l)]:.9g}"

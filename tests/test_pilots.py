@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from cfuav.pilots import (_estimation_matrices, assign_pilots_random,
-                          error_covariance, make_assignment, psi_matrix,
-                          simulate_pilot_and_estimate)
+                          make_assignment, simulate_pilot_and_estimate)
 from cfuav.propagation import ChannelStats, draw_channels
 
 SIGMA2 = 6.31e-13  # -92 dBm
@@ -85,11 +84,44 @@ def test_assignment_rejects_bad_pilot_index():
 
 # ------------------------------------------------------------------- psi
 
+def psi_matrix(k, l, assignment, stats, sigma2):
+    """Per-link oracle: pilot-observation covariance for UAV k at O-RU l."""
+    n = stats.scatter_cov.shape[-1]
+    tau = assignment.tau_p
+    psi = tau * sigma2 * np.eye(n, dtype=complex)
+    for i in assignment.share_sets[k]:
+        psi = psi + tau ** 2 * assignment.pilot_power[i] * stats.scatter_cov[i, l]
+    return psi
+
+
+def error_covariance(k, l, assignment, stats, sigma2):
+    """Per-link oracle of the MMSE split: returns (C_err, C_hat) with
+    C_hat = tau_p^2 p_k C Psi^{-1} C and C_err = C - C_hat."""
+    cov = stats.scatter_cov[k, l]
+    if not np.any(cov):
+        zero = np.zeros_like(cov)
+        return zero, zero.copy()
+    psi = psi_matrix(k, l, assignment, stats, sigma2)
+    gain = assignment.tau_p ** 2 * assignment.pilot_power[k]
+    c_hat = gain * (cov @ np.linalg.solve(psi, cov))
+    c_hat = 0.5 * (c_hat + np.conj(c_hat).T)
+    c_err = cov - c_hat
+    c_err = 0.5 * (c_err + np.conj(c_err).T)
+    return c_err, c_hat
+
+
+def batched(assignment, stats, sigma2):
+    """_estimation_matrices without the filter: (psi, c_err, c_hat), each
+    (K, L, N, N)."""
+    psi, _, c_hat, c_err = _estimation_matrices(assignment, stats, sigma2)
+    return psi, c_err, c_hat
+
+
 def test_psi_scalar_hand_value():
     # tau_p = 10, p = 0.2 W, c = 1e-10, sigma^2 = 6.31e-13
     stats = stats_1d([1e-10])
     a = make_assignment([0], tau_p=10, pilot_power=0.2)
-    psi = psi_matrix(0, 0, a, stats, SIGMA2)
+    psi = batched(a, stats, SIGMA2)[0][0, 0]
     expected = 10 ** 2 * 0.2 * 1e-10 + 10 * SIGMA2
     assert psi[0, 0].real == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(2.0063e-9, rel=1e-4)
@@ -100,8 +132,8 @@ def test_psi_contamination_increases_psd_order():
     stats2 = random_stats(r, k=2, n=3)
     alone = make_assignment([0, 1], tau_p=2, pilot_power=0.2)
     shared = make_assignment([0, 0], tau_p=2, pilot_power=0.2)
-    psi_alone = psi_matrix(0, 0, alone, stats2, SIGMA2)
-    psi_shared = psi_matrix(0, 0, shared, stats2, SIGMA2)
+    psi_alone = batched(alone, stats2, SIGMA2)[0][0, 0]
+    psi_shared = batched(shared, stats2, SIGMA2)[0][0, 0]
     w = np.linalg.eigvalsh(psi_shared - psi_alone)
     assert w.min() >= -1e-30
 
@@ -109,7 +141,7 @@ def test_psi_contamination_increases_psd_order():
 def test_psi_positive_definite():
     stats = stats_1d([0.0])
     a = make_assignment([0], tau_p=10, pilot_power=0.2)
-    psi = psi_matrix(0, 0, a, stats, SIGMA2)
+    psi = batched(a, stats, SIGMA2)[0][0, 0]
     assert psi[0, 0].real > 0  # noise keeps it invertible even with C = 0
 
 
@@ -118,38 +150,40 @@ def test_psi_positive_definite():
 def test_error_covariance_scalar_hand_value():
     stats = stats_1d([1e-10])
     a = make_assignment([0], tau_p=10, pilot_power=0.2)
-    c_err, c_hat = error_covariance(0, 0, a, stats, SIGMA2)
+    _, c_err, c_hat = batched(a, stats, SIGMA2)
     psi = 10 ** 2 * 0.2 * 1e-10 + 10 * SIGMA2
     expected_hat = 10 ** 2 * 0.2 * (1e-10) ** 2 / psi
-    assert c_hat[0, 0].real == pytest.approx(expected_hat, rel=1e-12)
+    assert c_hat[0, 0, 0, 0].real == pytest.approx(expected_hat, rel=1e-12)
     assert expected_hat == pytest.approx(9.969e-11, rel=1e-3)
-    assert c_err[0, 0].real == pytest.approx(1e-10 - expected_hat, rel=1e-12)
+    assert c_err[0, 0, 0, 0].real == pytest.approx(1e-10 - expected_hat,
+                                                   rel=1e-12)
 
 
 def test_error_covariance_no_pilot_power_limit():
     stats = stats_1d([1e-10])
     a = make_assignment([0], tau_p=10, pilot_power=1e-15)
-    c_err, c_hat = error_covariance(0, 0, a, stats, SIGMA2)
-    assert abs(c_hat[0, 0]) / 1e-10 < 1e-3
-    assert c_err[0, 0].real == pytest.approx(1e-10, rel=1e-3)
+    _, c_err, c_hat = batched(a, stats, SIGMA2)
+    assert abs(c_hat[0, 0, 0, 0]) / 1e-10 < 1e-3
+    assert c_err[0, 0, 0, 0].real == pytest.approx(1e-10, rel=1e-3)
 
 
 def test_error_covariance_noiseless_uncontaminated_limit():
     r = rng(7)
     stats = random_stats(r, k=1, n=2)
     a = make_assignment([0], tau_p=10, pilot_power=0.2)
-    c_err, c_hat = error_covariance(0, 0, a, stats, 1e-40)
+    _, c_err, c_hat = batched(a, stats, 1e-40)
     c = stats.scatter_cov[0, 0]
-    assert np.linalg.norm(c_err) / np.linalg.norm(c) < 1e-6
-    np.testing.assert_allclose(c_hat, c, rtol=1e-5)
+    assert np.linalg.norm(c_err[0, 0]) / np.linalg.norm(c) < 1e-6
+    np.testing.assert_allclose(c_hat[0, 0], c, rtol=1e-5)
 
 
 def test_covariance_decomposition_and_psd():
     r = rng(8)
     stats = random_stats(r, k=4, n=3)
     a = make_assignment([0, 0, 1, 0], tau_p=2, pilot_power=0.2)
+    _, c_errs, c_hats = batched(a, stats, SIGMA2)
     for k in range(4):
-        c_err, c_hat = error_covariance(k, 0, a, stats, SIGMA2)
+        c_err, c_hat = c_errs[k, 0], c_hats[k, 0]
         c = stats.scatter_cov[k, 0]
         np.testing.assert_allclose(c_hat + c_err, c, rtol=1e-9, atol=1e-30)
         scale = np.linalg.norm(c)
@@ -164,16 +198,36 @@ def test_contamination_never_decreases_error():
     stats = random_stats(r, k=2, n=3)
     alone = make_assignment([0, 1], tau_p=2, pilot_power=0.2)
     shared = make_assignment([0, 0], tau_p=2, pilot_power=0.2)
-    err_alone, _ = error_covariance(0, 0, alone, stats, SIGMA2)
-    err_shared, _ = error_covariance(0, 0, shared, stats, SIGMA2)
+    err_alone = batched(alone, stats, SIGMA2)[1][0, 0]
+    err_shared = batched(shared, stats, SIGMA2)[1][0, 0]
     assert np.trace(err_shared).real >= np.trace(err_alone).real - 1e-30
 
 
 def test_zero_cov_link_shortcircuits():
     stats = stats_1d([0.0])
     a = make_assignment([0], tau_p=10, pilot_power=0.2)
-    c_err, c_hat = error_covariance(0, 0, a, stats, SIGMA2)
+    _, c_err, c_hat = batched(a, stats, SIGMA2)
     assert not np.any(c_err) and not np.any(c_hat)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_estimation_matrices_match_per_link_oracle(n):
+    # K = 7 UAVs on tau_p = 3 pilots, L = 3, and one zero-covariance link
+    r = rng(70 + n)
+    stats = random_stats(r, k=7, n=n, l=3)
+    stats.scatter_cov[4, 1] = 0.0
+    a = make_assignment(r.integers(0, 3, 7), tau_p=3,
+                        pilot_power=r.uniform(0.1, 0.2, 7))
+    psi, c_err, c_hat = batched(a, stats, SIGMA2)
+    for k in range(7):
+        for l in range(3):
+            want_psi = psi_matrix(k, l, a, stats, SIGMA2)
+            want_err, want_hat = error_covariance(k, l, a, stats, SIGMA2)
+            tol = 1e-12 * np.linalg.norm(stats.scatter_cov[k, l])
+            assert (np.max(np.abs(psi[k, l] - want_psi))
+                    <= 1e-12 * np.linalg.norm(want_psi))
+            assert np.max(np.abs(c_err[k, l] - want_err)) <= tol
+            assert np.max(np.abs(c_hat[k, l] - want_hat)) <= tol
 
 
 # ------------------------------------------------------------ estimation

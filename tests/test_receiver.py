@@ -3,10 +3,8 @@ import pytest
 
 from cfuav import receiver
 from cfuav.pilots import EstimationResult
-from cfuav.receiver import (ChannelMoments, CombinerSet,
-                            assemble_coefficients, channel_moments,
-                            cpu_weights, estimate_sinr_coefficients,
-                            lmmse_combiner, moments_from_combiners, sinr,
+from cfuav.receiver import (ChannelMoments, assemble_coefficients,
+                            channel_moments, cpu_weights, sinr,
                             spectral_efficiency)
 
 
@@ -35,11 +33,24 @@ def deterministic_setup(vectors, t=4):
 
 # ---------------------------------------------------------------- combiner
 
+def solved_combiners(est, powers, sigma2):
+    """The receiver's L-MMSE solve over the whole ensemble, returned as
+    (T, K, L, N)."""
+    powers = np.asarray(powers, dtype=float)
+    v = receiver._lmmse_solve(receiver.solver_layout(est.h_hat),
+                              receiver._base_gram(est, powers, sigma2), powers)
+    return v.transpose(2, 3, 0, 1)
+
+
 def test_lmmse_rank_one_hand_inverse():
     # single UAV, h_hat = e1, p = 1, sigma^2 = 1: v = (h h^H + I)^{-1} h = e1/2
     h, est = deterministic_setup([np.array([1.0, 0.0])], t=1)
-    v = lmmse_combiner(est, np.array([1.0]), 1.0).v
+    v = solved_combiners(est, np.array([1.0]), 1.0)
     np.testing.assert_allclose(v[0, 0, 0], np.array([0.5, 0.0]), atol=1e-12)
+    # the same v seen through the moments: v^H h = 1/2, ||v||^2 = 1/4
+    m = channel_moments(h, est, np.array([1.0]), 1.0)
+    np.testing.assert_allclose(m.g1, [[0.5]], atol=1e-12)
+    np.testing.assert_allclose(m.gn, [[0.25]], atol=1e-12)
 
 
 def test_lmmse_matched_filter_limit():
@@ -47,18 +58,10 @@ def test_lmmse_matched_filter_limit():
     h, est = deterministic_setup([r.standard_normal(3) + 1j * r.standard_normal(3)],
                                  t=1)
     sigma2 = 1e6 * np.linalg.norm(h[0, 0, 0]) ** 2
-    v = lmmse_combiner(est, np.array([1.0]), sigma2).v[0, 0, 0]
+    v = solved_combiners(est, np.array([1.0]), sigma2)[0, 0, 0]
     hh = h[0, 0, 0]
     cos = abs(np.vdot(v, hh)) / (np.linalg.norm(v) * np.linalg.norm(hh))
     assert cos > 0.999
-
-
-def test_lmmse_rejects_bad_inputs():
-    h, est = deterministic_setup([np.array([1.0, 0.0])], t=1)
-    with pytest.raises(ValueError):
-        lmmse_combiner(est, np.array([-1.0]), 1.0)
-    with pytest.raises(ValueError):
-        lmmse_combiner(est, np.array([1.0]), 0.0)
 
 
 # ----------------------------------------------------------------- weights
@@ -185,6 +188,8 @@ def test_coefficients_nonnegative_and_tagged():
 
 
 def test_estimate_sinr_coefficients_matches_fused_path():
+    # coefficients estimated from the oracle's explicit combiners and
+    # cross terms agree with the fused channel_moments path
     r = rng(6)
     t, k, l, n = 25, 3, 2, 2
     h = r.standard_normal((t, k, l, n)) + 1j * r.standard_normal((t, k, l, n))
@@ -194,8 +199,8 @@ def test_estimate_sinr_coefficients_matches_fused_path():
     sigma2 = 0.1
     a = np.ones((k, l), dtype=int)
     w = cpu_weights(a, r.uniform(0.5, 1.5, (k, l)))
-    combiners = lmmse_combiner(est, p, sigma2)
-    coef1 = estimate_sinr_coefficients(h, est, combiners, a, w, sigma2)
+    v = oracle_combiners(est, p, sigma2)
+    coef1 = assemble_coefficients(moments_of(h, v, p), w, sigma2)
     coef2 = assemble_coefficients(channel_moments(h, est, p, sigma2), w, sigma2)
     np.testing.assert_allclose(coef1.a, coef2.a, rtol=1e-12)
     np.testing.assert_allclose(coef1.d, coef2.d, rtol=1e-10, atol=1e-18)
@@ -225,10 +230,8 @@ def test_mr_combining_matches_closed_form_coefficients():
     h = draw_channels(stats, 40_000, rng(21))
     est = simulate_pilot_and_estimate(h, assignment, stats, sigma2, rng(22))
     p = np.full(k_num, 0.2)
-    mr = CombinerSet(v=est.h_hat, power=p)
     weights = cpu_weights(np.ones((k_num, 1)), np.ones((k_num, 1)))
-    coef = estimate_sinr_coefficients(h, est, mr, np.ones((k_num, 1)),
-                                      weights, sigma2)
+    coef = assemble_coefficients(moments_of(h, est.h_hat, p), weights, sigma2)
     for k in range(k_num):
         c_hat = est.c_hat[k, 0]
         tr_hat = np.trace(c_hat).real
@@ -275,8 +278,8 @@ def test_monte_carlo_convergence_of_moments():
         h, est = draw(t, seed)
         m = channel_moments(h, est, p, 0.1)
         # per-sample second-moment spread for the standard error
-        comb = lmmse_combiner(est, p, 0.1)
-        cross = np.einsum("tkln,tiln->tkil", np.conj(comb.v), h)
+        v = oracle_combiners(est, p, 0.1)
+        cross = np.einsum("tkln,tiln->tkil", np.conj(v), h)
         se_g2 = np.abs(cross) ** 2
         return m, se_g2.std(axis=0, ddof=1) / np.sqrt(t)
 
@@ -314,6 +317,14 @@ def oracle_moments(h, v):
             np.einsum("tkln->kl", np.abs(v) ** 2) / t)
 
 
+def moments_of(h, v, powers):
+    """ChannelMoments of explicit combiners v (T, K, L, N), reduced by the
+    oracle."""
+    g1, g2, gn = oracle_moments(h, v)
+    return ChannelMoments(g1=g1, g2=g2, gn=gn, n_samples=h.shape[0],
+                          power=np.asarray(powers, dtype=float))
+
+
 def assert_moments_close(m, g1, g2, gn):
     # norm-wise: tiny cross-interference entries of g2 legitimately differ by
     # more than 1e-12 elementwise between the two reductions
@@ -337,24 +348,16 @@ def kernel_case(n, k, t=45, l=3, seed=0):
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
-@pytest.mark.parametrize("k", [1, 3])
-def test_channel_moments_match_oracle(n, k):
-    # T = 45 is not a multiple of the 32-realization block
+@pytest.mark.parametrize("k, chunk", [(1, 32), (3, 32), (3, 7)],
+                         ids=["1", "3", "3-chunk7"])
+def test_channel_moments_match_oracle(n, k, chunk):
+    # T = 45 is a multiple of neither the default 32-realization block nor 7
     h, est, p = kernel_case(n, k, seed=10 * n + k)
     sigma2 = 0.2
-    m = channel_moments(h, est, p, sigma2)
+    m = channel_moments(h, est, p, sigma2, chunk=chunk)
     assert_moments_close(m, *oracle_moments(h, oracle_combiners(est, p, sigma2)))
     np.testing.assert_array_equal(m.power, p)
     assert m.n_samples == 45
-
-
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_moments_from_combiners_match_oracle(n):
-    # the shared reduction alone, fed combiners solved outside the receiver
-    h, est, p = kernel_case(n, 3, seed=n)
-    v = oracle_combiners(est, p, 0.2)
-    m = moments_from_combiners(h, CombinerSet(v=v, power=p), chunk=7)
-    assert_moments_close(m, *oracle_moments(h, v))
 
 
 def test_channel_moments_match_oracle_on_desk_trial():
