@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .association import baseline_association
 from .orchestrator import ALL_SCHEMES, SchemeId, TrialData, run_scheme
 from .pilots import assign_pilots_random, simulate_pilot_and_estimate
 from .propagation import (channel_stats, draw_angular_spread, draw_channels,
@@ -100,7 +101,9 @@ def large_scale_state(config: ExperimentConfig, trial_index: int, streams):
 def prepare_trial(config: ExperimentConfig, trial_index: int) -> TrialData:
     """Generate one trial's channel world: topology, large-scale links,
     channel statistics, pilots, the realization ensemble and its estimates,
-    plus cached full-power combiner moments."""
+    plus the full-power combiner moments, filled for the baseline association
+    (stages 1-2, which read beta only and start every scheme), so that shared
+    work stays outside each scheme's timer."""
     streams = trial_streams(config, trial_index)
     geom, ls = large_scale_state(config, trial_index, streams)
     n_ant = config.antennas_per_oru
@@ -120,6 +123,8 @@ def prepare_trial(config: ExperimentConfig, trial_index: int) -> TrialData:
                                       streams["pilot-noise"])
     p_full = full_power(config.num_uavs, config.p_max_w)
     moments = channel_moments(h, est, p_full, sigma2)
+    moments.fill(baseline_association(ls.beta, config.pilot_len,
+                                      config.n_top) != 0)
     # SHA-256 of the canonical C-order bytes, fed one realization at a time
     # so the solver-layout ensemble is never copied whole
     digest = hashlib.sha256()

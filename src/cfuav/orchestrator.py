@@ -56,7 +56,8 @@ def parse_scheme(label: str) -> SchemeId:
 @dataclass(frozen=True)
 class TrialData:
     """Everything one trial's schemes share: large-scale state, the channel
-    ensemble with its estimates, and cached full-power moments."""
+    ensemble with its estimates, and the full-power moments, whose filled
+    pairs every scheme reuses."""
 
     beta: np.ndarray
     stats: ChannelStats

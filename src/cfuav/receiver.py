@@ -1,9 +1,13 @@
 """Per-O-RU L-MMSE combining, CPU combining weights, and the Monte Carlo
 reduction of the uplink SINR into per-UAV coefficients.
 
-channel_moments is the one receiver pipeline: it solves and reduces the
-L-MMSE combiners block by block, never holding the (T, K, L, N) combiner
-tensor, and assemble_coefficients fuses the moments with the CPU weights.
+channel_moments is the one receiver pipeline: it factors the Gram matrix of
+every (O-RU, realization) once per power vector and returns a ChannelMoments
+object that solves and reduces the L-MMSE combiners of a (k, l) pair only
+when asked (ChannelMoments.fill), never holding the (T, K, L, N) combiner
+tensor. assemble_coefficients fuses the moments with the CPU weights and
+asks only for the served pairs (alpha_kl != 0): each UAV is served by a few
+O-RUs and each O-RU by at most tau_p UAVs, so most pairs are never computed.
 
 For a power vector p the SINR of UAV k is the rational form
 
@@ -14,24 +18,26 @@ interference) and c (noise) come from ensemble averages of combiner/channel
 inner products. The coefficients are frozen at the power vector used to build
 the combiners; the power solvers treat them as constants.
 
-The moment reduction works on blocks of realizations in the solver layout
-(L, N, T, K), where every (O-RU, antenna) pair holds a contiguous (T, K)
-array. The trial's h and h_hat are stored that way from the draw on (see
-propagation.solver_layout), so a block is the slice [:, :, t0:t1] of that
-storage and no call copies either ensemble; an input in another layout is
-copied once per call. Per (l, t) the Gram
-matrix G = sum_k p_k (h_hat_k h_hat_k^H + C_err_k) + sigma^2 I is Hermitian
-positive definite, and is factored as G = C C^H by a Cholesky factorization
-written entrywise over whole (l, t) arrays, looping in Python over the N
-antennas only; forward and back substitution then give v for all K UAVs.
-The second moment uses the real feature map f(x) in R^(N^2) made of |x_a|^2
-and sqrt2 Re / sqrt2 Im of x_a conj(x_b) for a < b, for which
-|v^H h|^2 = f(v) . f(h). The sum over a block of E[|v_kl^H h_il|^2] is thus
-one real GEMM per O-RU, (K x N^2 t) by (N^2 t x K), and the (t, L, K, K)
-cross-term tensor is never formed."""
+The trial's h and h_hat are stored in the solver layout (L, N, T, K) from
+the draw on (see propagation.solver_layout). Per (l, t) the Gram matrix
+G = sum_k p_k (h_hat_k h_hat_k^H + C_err_k) + sigma^2 I is Hermitian positive
+definite, and is factored as G = C C^H by a Cholesky factorization written
+entrywise over whole (l, t) arrays, looping in Python over the N antennas
+only, block by block over the slices [:, :, t0:t1]. A fill gathers the
+requested rows of h_hat and h for the O-RUs with new pairs into
+(N, r, L', t) blocks, r the largest count of new rows at one O-RU (others
+padded), and forward and back substitution give their combiners v. It runs
+over all T in one pass when it touches one or two O-RUs (one pair added by
+association stage 3) and block by block otherwise. The second moment uses
+the real feature map f(x) in R^(N^2) made of |x_a|^2 and sqrt2 Re /
+sqrt2 Im of x_a conj(x_b) for a < b, for which |v^H h|^2 = f(v) . f(h). The
+sum over a block of E[|v_kl^H h_il|^2] is thus one real GEMM per O-RU,
+(r x N^2 t) by (N^2 t x K), and the cross-term tensor is never formed.
+Filled pairs are memoized: a pair keeps its bits for the life of the
+object, whatever is filled after it."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,117 +75,193 @@ def _base_gram(est: EstimationResult, powers: np.ndarray,
 def _gram_cholesky(h_hat: np.ndarray, base: np.ndarray,
                    powers: np.ndarray) -> list:
     """Lower Cholesky factor C of G = base + sum_k p_k h_hat_k h_hat_k^H for
-    every (l, t) of a solver-layout block h_hat (L, N, t, K). Entry C[i][j]
-    (i >= j) is an (L, t) array. base >= sigma^2 I makes G positive definite,
-    so every pivot C[j][j]^2 >= sigma^2 and no pivoting is needed."""
+    every (l, t) of a solver-layout block h_hat (L, N, t, K). Row i holds the
+    entries C[i][j], j <= i, each an (L, t) array; C[i][i] is real. The sums
+    over k are matrix-vector products with p. base >= sigma^2 I makes G
+    positive definite, so every pivot C[j][j]^2 >= sigma^2 and no pivoting
+    is needed."""
     n = h_hat.shape[1]
-    weighted = h_hat * powers
-    conj = np.conj(h_hat)
-    c = [[None] * n for _ in range(n)]
+    powers_c = powers + 0j
+    c = [[None] * (i + 1) for i in range(n)]
     for j in range(n):
-        pivot = (base[:, j, j, None].real
-                 + np.einsum("ltk,ltk->lt", weighted[:, j], conj[:, j]).real)
+        pivot = base[:, j, j, None].real + _abs2(h_hat[:, j]) @ powers
         for m in range(j):
             pivot -= _abs2(c[j][m])
         c[j][j] = np.sqrt(pivot)
+        conj = np.conj(h_hat[:, j])
         for i in range(j + 1, n):
-            g = base[:, i, j, None] + np.einsum("ltk,ltk->lt", weighted[:, i],
-                                                conj[:, j])
+            g = base[:, i, j, None] + (h_hat[:, i] * conj) @ powers_c
             for m in range(j):
                 g -= c[i][m] * np.conj(c[j][m])
             c[i][j] = g / c[j][j]
     return c
 
 
-def _lmmse_solve(h_hat: np.ndarray, base: np.ndarray,
-                 powers: np.ndarray) -> np.ndarray:
-    """v = G^{-1} h_hat for all K right-hand sides of every (l, t), by forward
-    and back substitution through the Cholesky factor; Python loops run over
-    the N antennas only."""
-    n = h_hat.shape[1]
-    c = _gram_cholesky(h_hat, base, powers)
-    inv = [1.0 / c[i][i][..., None] for i in range(n)]
-    v = np.empty_like(h_hat)
-    for i in range(n):                      # C y = h_hat
-        y = v[:, i]
-        y[...] = h_hat[:, i]
+def _substitute(c: list, v: np.ndarray) -> np.ndarray:
+    """Overwrite v (N, r, L, t) with G^{-1} v for every (l, t) and right-hand
+    side, by forward and back substitution through the Cholesky factor c of
+    G (entries (L, t), as _gram_cholesky returns them). Python loops run over
+    the N antennas only; each entrywise pass is one contiguous (r, L, t)
+    array against an (L, t) factor entry."""
+    n = v.shape[0]
+    # complex with a zero imaginary part: the same products as the real
+    # reciprocal, without a mixed-type ufunc loop
+    inv = [1.0 / c[i][i] + 0j for i in range(n)]
+    for i in range(n):                      # C y = v
+        y = v[i]
         for m in range(i):
-            y -= c[i][m][..., None] * v[:, m]
+            y -= c[i][m] * v[m]
         y *= inv[i]
-    for i in reversed(range(n)):            # C^H v = y, in place
-        x = v[:, i]
+    for i in reversed(range(n)):            # C^H x = y
+        x = v[i]
         for m in range(i + 1, n):
-            x -= np.conj(c[m][i])[..., None] * v[:, m]
+            x -= np.conj(c[m][i]) * v[m]
         x *= inv[i]
     return v
 
 
+def _features(x: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Real features of x along its antenna axis, which grows from N to N*N:
+    |x_a|^2 for every antenna a, then sqrt2 Re and sqrt2 Im of x_a conj(x_b)
+    for a < b, so that |v^H h|^2 = f(v) . f(h)."""
+    n = x.shape[axis]
+    f = np.empty(x.shape[:axis] + (n * n,) + x.shape[axis + 1:])
+    fa, xa = f.swapaxes(0, axis), x.swapaxes(0, axis)
+    np.square(xa.real, out=fa[:n])
+    fa[:n] += np.square(xa.imag)
+    j = n
+    for a in range(n):
+        for b in range(a + 1, n):
+            z = xa[a] * np.conj(xa[b])
+            np.multiply(z.real, _SQRT2, out=fa[j])
+            np.multiply(z.imag, _SQRT2, out=fa[j + 1])
+            j += 2
+    return f
+
+
 @dataclass(frozen=True)
+class _GramFactor:
+    """What a moment fill reads: the solver layouts (L, N, T, K) of h and
+    h_hat, and the Cholesky factor c of every (l, t) Gram matrix, entry
+    c[i][m] (m <= i) an (L, T) array."""
+
+    h: np.ndarray
+    h_hat: np.ndarray
+    c: list
+    chunk: int
+
+    def reduce(self, orus: np.ndarray, rows: np.ndarray) -> tuple:
+        """Sums over all T realizations for the combiners of UAV rows[a, j]
+        at O-RU orus[a]: s1 (L', r) of v^H h, s2 (L', r, K) of |v^H h_i|^2
+        for every UAV i, and sn (L', r) of ||v||^2. The rows of h and h_hat
+        are gathered as (N, r, L', t) blocks. A fill of one or two O-RUs runs
+        over all T in one pass; a larger one runs block by block. Each
+        block's g2 sum is one real GEMM per O-RU, (r x N^2 t) f(v) times
+        (N^2 t x K) f(h)."""
+        l_num, n, t_num, k_num = self.h.shape
+        l_sel, r = rows.shape
+        step = t_num if l_sel <= 2 else self.chunk
+        # flat offsets of (orus[a], antenna, realization 0, rows[a, j]),
+        # in the order (antenna, j, a)
+        first = (orus * n + np.arange(n)[:, None, None]) * t_num * k_num
+        first = np.ascontiguousarray(first + rows.T)[..., None]
+        oru_sel = slice(None) if l_sel == l_num else orus   # a view if all
+        s1 = np.zeros((r, l_sel), dtype=complex)
+        s2 = np.zeros((l_sel, r, k_num))
+        sn = np.zeros((r, l_sel))
+        for t0 in range(0, t_num, step):
+            block = slice(t0, t0 + step)
+            idx = first + np.arange(t0, min(t0 + step, t_num)) * k_num
+            h_rows = np.take(self.h, idx)
+            v = _substitute([[x[orus, block] for x in row] for row in self.c],
+                            np.take(self.h_hat, idx))
+            fv = _features(v)
+            s1 += np.einsum("nrlt,nrlt->rl", np.conj(v), h_rows)
+            sn += fv[:n].sum(axis=(0, 3))
+            fv = np.ascontiguousarray(fv.transpose(2, 1, 0, 3))
+            s2 += np.matmul(fv.reshape(l_sel, r, -1),
+                            _features(self.h[oru_sel, :, block], 1)
+                            .reshape(l_sel, -1, k_num))
+        return s1.T, s2, sn.T
+
+
+@dataclass(eq=False)
 class ChannelMoments:
     """Ensemble averages feeding the SINR coefficients, tagged with the power
-    vector the combiners were built for."""
+    vector the combiners were built for. Only the filled (k, l) pairs hold
+    values; the others read 0. From channel_moments no pair is filled, and
+    fill computes the pairs a caller needs; built from explicit arrays, every
+    pair is filled."""
 
     g1: np.ndarray        # (K, L) complex, E[v_kl^H h_kl]
     g2: np.ndarray        # (K, K, L) real, E[|v_kl^H h_il|^2]
     gn: np.ndarray        # (K, L) real, E[||v_kl||^2]
     n_samples: int
     power: np.ndarray     # (K,)
+    filled: np.ndarray = None                     # (K, L) bool
+    factor: _GramFactor = field(default=None, repr=False)
 
+    def __post_init__(self):
+        if self.filled is None:
+            self.filled = np.ones(self.g1.shape, dtype=bool)
 
-def _features(x: np.ndarray) -> np.ndarray:
-    """Real features (L, N*N, t, K) of a solver-layout block (L, N, t, K):
-    |x_a|^2 for every antenna a, then sqrt2 Re and sqrt2 Im of x_a conj(x_b)
-    for a < b, so that |v^H h|^2 = f(v) . f(h)."""
-    l_num, n, t, k = x.shape
-    f = np.empty((l_num, n * n, t, k))
-    f[:, :n] = _abs2(x)
-    w = _SQRT2 * np.conj(x)
-    j = n
-    for a in range(n):
-        for b in range(a + 1, n):
-            z = x[:, a] * w[:, b]
-            f[:, j] = z.real
-            f[:, j + 1] = z.imag
-            j += 2
-    return f
+    def fill(self, mask) -> None:
+        """Compute and memoize the moments of every (k, l) pair where mask is
+        true. Filled pairs keep their values, so a pair reads the same bits
+        for the life of the object. The new rows of each O-RU are gathered,
+        padded with other rows to the largest count; padding is discarded."""
+        new = np.asarray(mask, dtype=bool) & ~self.filled
+        orus = np.flatnonzero(new.any(axis=0))
+        if orus.size == 0:
+            return
+        new = new[:, orus].T                    # (L', K)
+        counts = new.sum(axis=1)
+        r = int(counts.max())
+        # each O-RU's new rows first, in index order, then padding rows
+        rows = np.argsort(~new, axis=1, kind="stable")[:, :r]
+        at, slot = np.nonzero(np.arange(r) < counts[:, None])
+        s1, s2, sn = self.factor.reduce(orus, rows)
+        ks, ls = rows[at, slot], orus[at]
+        t_num = self.n_samples
+        self.g1[ks, ls] = s1[at, slot] / t_num
+        self.g2[ks, :, ls] = s2[at, slot] / t_num
+        self.gn[ks, ls] = sn[at, slot] / t_num
+        self.filled[ks, ls] = True
 
 
 def channel_moments(h: np.ndarray, est: EstimationResult, powers,
                     sigma2: float, chunk: int = _CHUNK) -> ChannelMoments:
     """L-MMSE combiner moments of the ensemble h (T, K, L, N) for one power
-    vector. The combiners are solved block by block and reduced as they
-    come, never held for all T. Blocks run in fixed realization order, so
-    the sums do not depend on caller parallelism. A block is the slice
-    [:, :, t0:t0 + chunk] of the solver layouts of h and h_hat; its g2 sum
-    is one real GEMM per O-RU, (K x N^2 t) f(v)^T times (N^2 t x K) f(h)."""
+    vector, with no pair filled yet. The Gram matrix of every (l, t) is
+    factored here, once, block by block over the slices [:, :, t0:t0 + chunk]
+    of the solver layout of h_hat; ChannelMoments.fill then solves and
+    reduces only the (k, l) pairs it is asked for. Every fill runs in fixed
+    realization order, so its sums do not depend on caller parallelism."""
     powers = np.asarray(powers, dtype=float)
     base = _base_gram(est, powers, sigma2)
     t_num, k_num, l_num, n = h.shape
-    hs = solver_layout(h)
     h_hat = solver_layout(est.h_hat)
-    s1 = np.zeros((l_num, k_num), dtype=complex)
-    s2 = np.zeros((l_num, k_num, k_num))
-    sn = np.zeros((l_num, k_num))
+    c = [[np.empty((l_num, t_num), dtype=float if m == i else complex)
+          for m in range(i + 1)] for i in range(n)]
     for t0 in range(0, t_num, chunk):
         block = slice(t0, t0 + chunk)
-        hb = hs[:, :, block]
-        v = _lmmse_solve(h_hat[:, :, block], base, powers)
-        fv = _features(v)
-        s1 += np.einsum("lntk,lntk->lk", np.conj(v), hb)
-        sn += fv[:, :n].sum(axis=(1, 2))
-        s2 += np.matmul(fv.reshape(l_num, -1, k_num).swapaxes(1, 2),
-                        _features(hb).reshape(l_num, -1, k_num))
-    g1 = np.ascontiguousarray(s1.T) / t_num
-    g2 = np.ascontiguousarray(s2.transpose(1, 2, 0)) / t_num
-    gn = np.ascontiguousarray(sn.T) / t_num
-    return ChannelMoments(g1=g1, g2=g2, gn=gn, n_samples=t_num,
-                          power=powers.copy())
+        for row, block_row in zip(c, _gram_cholesky(h_hat[:, :, block], base,
+                                                    powers)):
+            for x, xb in zip(row, block_row):
+                x[:, block] = xb
+    return ChannelMoments(
+        g1=np.zeros((k_num, l_num), dtype=complex),
+        g2=np.zeros((k_num, k_num, l_num)), gn=np.zeros((k_num, l_num)),
+        n_samples=t_num, power=powers.copy(),
+        filled=np.zeros((k_num, l_num), dtype=bool),
+        factor=_GramFactor(solver_layout(h), h_hat, c, chunk))
 
 
 @dataclass(frozen=True)
 class SinrCoefficients:
     """Reduced SINR representation; b has a zero diagonal. clamp_count says
-    how many per-link variance estimates were clipped at zero."""
+    how many per-link variance estimates of served pairs (alpha != 0) were
+    clipped at zero; an unserved pair never reaches a coefficient."""
 
     a: np.ndarray             # (K,)
     d: np.ndarray             # (K,)
@@ -196,12 +278,15 @@ class SinrCoefficients:
 def assemble_coefficients(moments: ChannelMoments, weights: CpuWeights,
                           sigma2: float) -> SinrCoefficients:
     """Gate and fuse the moments with the CPU weights. Association enters only
-    through the zeros of alpha, so rows with extra zero columns are free."""
+    through the zeros of alpha: the moments of the served pairs (alpha != 0)
+    are filled on demand, and the unserved ones are never read."""
     alpha = weights.alpha
+    served = alpha != 0
+    moments.fill(served)
     alpha2 = alpha ** 2
     a = _abs2(np.einsum("kl,kl->k", alpha, moments.g1))
     var = np.einsum("kkl->kl", moments.g2) - _abs2(moments.g1)
-    clamp_count = int(np.count_nonzero(var < 0))
+    clamp_count = int(np.count_nonzero((var < 0) & served))
     var = np.clip(var, 0.0, None)
     d = np.einsum("kl,kl->k", alpha2, var)
     b = np.einsum("kl,kil->ki", alpha2, moments.g2)

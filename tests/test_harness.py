@@ -96,6 +96,45 @@ def test_non_ao_schemes_report_zero_ao_iterations(tiny_config):
             assert r.ao_iterations == 0
 
 
+@pytest.mark.parametrize("num_uavs", [5, 10, 20])
+def test_scheme_subset_invariance(num_uavs):
+    # memoized moment fills must not make a scheme's answer depend on which
+    # other schemes ran before it on the same trial
+    cfg = desk_scale(num_uavs=num_uavs, se_min=1.0, master_seed=2026)
+    for trial in range(2):
+        _, together = run_trial(cfg, trial, list(ALL_SCHEMES))
+        for scheme in ALL_SCHEMES:
+            _, alone = run_trial(cfg, trial, [scheme])
+            a, b = together[scheme.label], alone[scheme.label]
+            assert a.power.tobytes() == b.power.tobytes()
+            assert a.se.se.tobytes() == b.se.se.tobytes()
+            np.testing.assert_array_equal(a.association, b.association)
+            assert a.trace.count == b.trace.count
+            assert a.fp_iterations == b.fp_iterations
+
+
+def test_prepare_trial_prefills_baseline_association(monkeypatch):
+    # stages 1-2 read beta only: their moments are filled in prepare_trial,
+    # so the BA schemes fill nothing inside their timers
+    from cfuav import receiver
+    from cfuav.association import baseline_association
+    from cfuav.orchestrator import evaluate_association
+    from cfuav.powerctl import full_power
+
+    cfg = desk_scale(num_uavs=10, master_seed=2026)
+    data = prepare_trial(cfg, 0)
+    a = baseline_association(data.beta, cfg.pilot_len, cfg.n_top)
+    np.testing.assert_array_equal(data.moments_full.filled, a != 0)
+
+    def no_fill(*args):
+        raise AssertionError("BA association filled a new pair")
+
+    monkeypatch.setattr(receiver._GramFactor, "reduce", no_fill)
+    evaluate_association(data.moments_full, a, data.beta, data.sigma2,
+                         full_power(cfg.num_uavs, cfg.p_max_w), cfg)
+    np.testing.assert_array_equal(data.moments_full.filled, a != 0)
+
+
 # ------------------------------------------------------------- monte carlo
 
 def _strip_runtime(records):

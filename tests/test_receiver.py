@@ -33,13 +33,28 @@ def deterministic_setup(vectors, t=4):
 
 # ---------------------------------------------------------------- combiner
 
+def lmmse_solve(h_hat, base, powers):
+    """The receiver's L-MMSE solve of a solver-layout block (L, N, t, K) for
+    all K UAVs: the Cholesky factor, then substitution."""
+    c = receiver._gram_cholesky(h_hat, base, powers)
+    v = receiver._substitute(c, h_hat.transpose(1, 3, 0, 2).copy())
+    return v.transpose(2, 0, 3, 1)
+
+
 def solved_combiners(est, powers, sigma2):
     """The receiver's L-MMSE solve over the whole ensemble, returned as
     (T, K, L, N)."""
     powers = np.asarray(powers, dtype=float)
-    v = receiver._lmmse_solve(receiver.solver_layout(est.h_hat),
-                              receiver._base_gram(est, powers, sigma2), powers)
+    v = lmmse_solve(receiver.solver_layout(est.h_hat),
+                    receiver._base_gram(est, powers, sigma2), powers)
     return v.transpose(2, 3, 0, 1)
+
+
+def filled_moments(h, est, powers, sigma2, **kw):
+    """channel_moments with every (k, l) pair filled."""
+    m = channel_moments(h, est, powers, sigma2, **kw)
+    m.fill(np.ones(m.g1.shape, dtype=bool))
+    return m
 
 
 def test_lmmse_rank_one_hand_inverse():
@@ -48,7 +63,7 @@ def test_lmmse_rank_one_hand_inverse():
     v = solved_combiners(est, np.array([1.0]), 1.0)
     np.testing.assert_allclose(v[0, 0, 0], np.array([0.5, 0.0]), atol=1e-12)
     # the same v seen through the moments: v^H h = 1/2, ||v||^2 = 1/4
-    m = channel_moments(h, est, np.array([1.0]), 1.0)
+    m = filled_moments(h, est, np.array([1.0]), 1.0)
     np.testing.assert_allclose(m.g1, [[0.5]], atol=1e-12)
     np.testing.assert_allclose(m.gn, [[0.25]], atol=1e-12)
 
@@ -158,6 +173,23 @@ def test_unserved_uav_flagged_by_zero_gain():
     assert gam[1] == 0.0 and gam[0] > 0.0
 
 
+def test_variance_clamp_counted_on_served_pairs_only():
+    # both pairs of UAV 0 have a negative variance estimate; only the served
+    # one reaches d, so only it is counted
+    moments = ChannelMoments(g1=np.full((1, 2), 2.0 + 0j),
+                             g2=np.full((1, 1, 2), 3.9),  # below |g1|^2 = 4
+                             gn=np.ones((1, 2)), n_samples=10,
+                             power=np.ones(1))
+    served = np.array([[1, 0]])
+    coef = assemble_coefficients(moments, cpu_weights(served, np.ones((1, 2))),
+                                 0.1)
+    assert coef.clamp_count == 1
+    assert coef.d[0] == 0.0
+    coef = assemble_coefficients(moments, cpu_weights(np.ones((1, 2)),
+                                                      np.ones((1, 2))), 0.1)
+    assert coef.clamp_count == 2
+
+
 def test_variance_clamp_counted():
     k, l = 1, 1
     moments = ChannelMoments(g1=np.array([[2.0 + 0j]]),
@@ -251,11 +283,11 @@ def test_moment_chunking_is_order_stable():
     h = r.standard_normal((t, k, l, n)) + 1j * r.standard_normal((t, k, l, n))
     est = est_from(h, np.broadcast_to(0.01 * np.eye(n), (k, l, n, n)).copy())
     p = np.full(k, 0.2)
-    m1 = channel_moments(h, est, p, 0.1, chunk=32)
-    m2 = channel_moments(h, est, p, 0.1, chunk=32)
+    m1 = filled_moments(h, est, p, 0.1, chunk=32)
+    m2 = filled_moments(h, est, p, 0.1, chunk=32)
     np.testing.assert_array_equal(m1.g1, m2.g1)
     np.testing.assert_array_equal(m1.g2, m2.g2)
-    m3 = channel_moments(h, est, p, 0.1, chunk=7)
+    m3 = filled_moments(h, est, p, 0.1, chunk=7)
     np.testing.assert_allclose(m1.g2, m3.g2, rtol=1e-12)
 
 
@@ -276,7 +308,7 @@ def test_monte_carlo_convergence_of_moments():
 
     def moments_and_se(t, seed):
         h, est = draw(t, seed)
-        m = channel_moments(h, est, p, 0.1)
+        m = filled_moments(h, est, p, 0.1)
         # per-sample second-moment spread for the standard error
         v = oracle_combiners(est, p, 0.1)
         cross = np.einsum("tkln,tiln->tkil", np.conj(v), h)
@@ -354,7 +386,7 @@ def test_channel_moments_match_oracle(n, k, chunk):
     # T = 45 is a multiple of neither the default 32-realization block nor 7
     h, est, p = kernel_case(n, k, seed=10 * n + k)
     sigma2 = 0.2
-    m = channel_moments(h, est, p, sigma2, chunk=chunk)
+    m = filled_moments(h, est, p, sigma2, chunk=chunk)
     assert_moments_close(m, *oracle_moments(h, oracle_combiners(est, p, sigma2)))
     np.testing.assert_array_equal(m.power, p)
     assert m.n_samples == 45
@@ -367,9 +399,113 @@ def test_channel_moments_match_oracle_on_desk_trial():
     cfg = desk_scale(num_uavs=5, master_seed=2026)
     data = prepare_trial(cfg, 0)
     p = rng(11).uniform(0.0, cfg.p_max_w, cfg.num_uavs)
-    m = channel_moments(data.h, data.est, p, data.sigma2)
+    m = filled_moments(data.h, data.est, p, data.sigma2)
     v = oracle_combiners(data.est, p, data.sigma2)
     assert_moments_close(m, *oracle_moments(data.h, v))
+
+
+# ------------------------------------------- memoized fills vs dense oracle
+
+def dense_block_moments(h, est, powers, sigma2, chunk=32):
+    """The dense block reduction: every (k, l) pair, `chunk` realizations at
+    a time, with the block's g2 sum one real GEMM per O-RU, (K x N^2 t)
+    f(v)^T times (N^2 t x K) f(h). Returns (g1, g2, gn)."""
+    powers = np.asarray(powers, dtype=float)
+    base = receiver._base_gram(est, powers, sigma2)
+    t_num, k_num, l_num, n = h.shape
+    hs = receiver.solver_layout(h)
+    h_hat = receiver.solver_layout(est.h_hat)
+    s1 = np.zeros((l_num, k_num), dtype=complex)
+    s2 = np.zeros((l_num, k_num, k_num))
+    sn = np.zeros((l_num, k_num))
+    for t0 in range(0, t_num, chunk):
+        block = slice(t0, t0 + chunk)
+        hb = hs[:, :, block]
+        v = lmmse_solve(h_hat[:, :, block], base, powers)
+        fv = receiver._features(v, 1)
+        s1 += np.einsum("lntk,lntk->lk", np.conj(v), hb)
+        sn += fv[:, :n].sum(axis=(1, 2))
+        s2 += np.matmul(fv.reshape(l_num, -1, k_num).swapaxes(1, 2),
+                        receiver._features(hb, 1).reshape(l_num, -1, k_num))
+    return s1.T / t_num, s2.transpose(1, 2, 0) / t_num, sn.T / t_num
+
+
+def assert_filled_pairs_match(m, dense, mask):
+    """Exactly the pairs of mask are filled, each within 1e-12 relative of
+    the dense oracle (g2 per (k, l) row, against the row's largest entry),
+    and every other pair reads 0."""
+    g1, g2, gn = dense
+    np.testing.assert_array_equal(m.filled, mask)
+    for k, l in zip(*np.nonzero(mask)):
+        assert abs(m.g1[k, l] - g1[k, l]) <= 1e-12 * abs(g1[k, l])
+        assert abs(m.gn[k, l] - gn[k, l]) <= 1e-12 * gn[k, l]
+        row = np.abs(g2[k, :, l])
+        assert np.all(np.abs(m.g2[k, :, l] - g2[k, :, l]) <= 1e-12 * row.max())
+    assert not m.g1[~mask].any() and not m.gn[~mask].any()
+    assert not m.g2.transpose(0, 2, 1)[~mask].any()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_memoized_fills_match_dense_oracle(n):
+    # L = 5 O-RUs: a fill of three or more runs block by block, a fill of one
+    # or two in one pass; T = 45 is not a multiple of the block
+    k, l = 6, 5
+    h, est, p = kernel_case(n, k, l=l, seed=60 + n)
+    sigma2 = 0.2
+    dense = dense_block_moments(h, est, p, sigma2)
+    r = rng(70 + n)
+    m = channel_moments(h, est, p, sigma2)
+    mask = np.zeros((k, l), dtype=bool)
+    assert_filled_pairs_match(m, dense, mask)
+    for density in (0.2, 0.5, 0.9, 1.0):          # random growing masks
+        mask |= r.random((k, l)) < density
+        m.fill(mask)
+        assert_filled_pairs_match(m, dense, mask)
+    m = channel_moments(h, est, p, sigma2)
+    mask = np.zeros((k, l), dtype=bool)
+    for flat in r.permutation(k * l)[:12]:        # one pair at a time
+        mask.flat[flat] = True
+        m.fill(mask)
+        assert_filled_pairs_match(m, dense, mask)
+
+
+def test_fill_keeps_memoized_values():
+    # a pair reads the same bits for the life of the object, whatever later
+    # fills compute around it
+    h, est, p = kernel_case(2, 6, l=5, seed=80)
+    m = channel_moments(h, est, p, 0.2)
+    first = np.zeros((6, 5), dtype=bool)
+    first[[1, 4], 2] = True
+    m.fill(first)
+    kept = (m.g1[first].copy(), m.g2.transpose(0, 2, 1)[first].copy(),
+            m.gn[first].copy())
+    m.fill(np.ones((6, 5), dtype=bool))
+    np.testing.assert_array_equal(m.g1[first], kept[0])
+    np.testing.assert_array_equal(m.g2.transpose(0, 2, 1)[first], kept[1])
+    np.testing.assert_array_equal(m.gn[first], kept[2])
+
+
+def test_memoized_fills_match_dense_oracle_on_desk_trial():
+    from cfuav.association import baseline_association
+    from cfuav.harness import prepare_trial
+    from cfuav.scenario import desk_scale
+
+    cfg = desk_scale(num_uavs=10, master_seed=2026)
+    data = prepare_trial(cfg, 0)
+    ba = baseline_association(data.beta, cfg.pilot_len, cfg.n_top) != 0
+    full = data.moments_full
+    dense = dense_block_moments(data.h, data.est, full.power, data.sigma2)
+    assert_filled_pairs_match(full, dense, ba)   # prefilled for BA
+    mask = ba.copy()
+    for flat in rng(12).permutation(np.flatnonzero(~ba))[:6]:
+        mask.flat[flat] = True
+        full.fill(mask)
+        assert_filled_pairs_match(full, dense, mask)
+    p = rng(11).uniform(0.0, cfg.p_max_w, cfg.num_uavs)
+    m = channel_moments(data.h, data.est, p, data.sigma2)
+    m.fill(ba)
+    assert_filled_pairs_match(
+        m, dense_block_moments(data.h, data.est, p, data.sigma2), ba)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
