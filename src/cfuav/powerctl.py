@@ -13,15 +13,25 @@ Both keep the best feasible (p, min-SINR) pair seen, starting from full
 power, so they never return a worse minimum than full-power transmission.
 
 The vectors are short (K UAVs), so a probe's cost is per-call overhead, not
-arithmetic. A fixed-point sweep runs a handful of in-place ufunc calls and
-two ndarray reductions. An exact probe solves first: a positive solution
-certifies that the Z-matrix diag(a - g d) - g B is a nonsingular M-matrix,
-i.e. rho(g D^-1 B) < 1; a clearly negative entry rejects the target either
-way, so the eigenvalue test runs only for a solution with its smallest entry
-in [-1e-12 p_max, 0]. Both keep the operands and the order of every
+arithmetic. bg_fppc therefore answers its probes in batches. One batched
+fixed point evaluates every midpoint of the next SUBTREE_DEPTH bisection
+levels, each the midpoint of its own bracket (7 targets at depth 3); the
+bisection then walks its accepted/rejected path down that subtree, and the
+answers off the path are discarded. A batched sweep is four calls for all
+rows and tests nothing: after a chunk of sweeps (CHUNKS) one vectorized pass
+finds each row's first stop sweep, a bail before a converge, and stopped rows
+leave the batch. B p stays one matrix-vector product per row, because one
+matrix product over the stacked rows sums in another order.
+
+An exact probe solves first: a positive solution certifies that the
+Z-matrix diag(a - g d) - g B is a nonsingular M-matrix, i.e.
+rho(g D^-1 B) < 1; a clearly negative entry rejects the target either way,
+so the eigenvalue test runs only for a solution with its smallest entry in
+[-1e-12 p_max, 0]. Both solvers keep the operands and the order of every
 floating-point operation of the plain expressions, so the probe decisions,
 iteration counts and powers do not depend on these shortcuts."""
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -29,6 +39,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .receiver import SinrCoefficients, sinr
+
+
+SUBTREE_DEPTH = 3  # bisection levels that one batched fixed point answers
+CHUNKS = (4, 16)   # sweeps between stop searches; the last length repeats
 
 
 def full_power(num_uavs: int, p_max: float) -> np.ndarray:
@@ -49,34 +63,79 @@ def fixed_point_min_power(coef: SinrCoefficients, gamma_target: float,
     p_k <- gamma (sum_{i!=k} b_ki p_i + c_k) / (a_k - gamma d_k).
 
     Starts from full power; when the target is unreachable for some UAV
-    (a_k <= gamma d_k) the iterate is +inf so the caller's box check fails.
-    Each sweep evaluates gamma (B p + c) / denom in that order, in place; every
-    term is >= 0, so a single NaN-safe comparison of the largest entry with
-    the bail level also catches non-finite iterates."""
+    (a_k <= gamma d_k) the iterate is +inf so the caller's box check fails,
+    and so it is when an iterate passes the bail level 1e9 p_max or is not
+    finite. Converged means the sup-norm step fell below eps_fp p_max; an
+    iterate that does neither in n_max_fp sweeps is returned capped."""
     if gamma_target <= 0:
         raise ValueError("gamma_target must be positive")
-    denom = coef.a - gamma_target * coef.d
-    k = coef.num_uavs
-    if (denom <= 0).any():
-        return FixedPointResult(np.full(k, np.inf), False, 0)
+    p, converged, iterations, capped = _fixed_points(
+        coef, np.array([gamma_target]), p_max, eps_fp, n_max_fp)
+    return FixedPointResult(p[0], bool(converged[0]), int(iterations[0]),
+                            bool(capped[0]))
+
+
+def _fixed_points(coef: SinrCoefficients, gammas: np.ndarray, p_max: float,
+                  eps_fp: float, n_max_fp: int):
+    """fixed_point_min_power at every target of gammas in one batched pass:
+    (p, converged, iterations, capped), one row or entry per target, each
+    equal to the lone call's bit for bit.
+
+    A sweep evaluates gamma (B p + c) / denom for all running rows in that
+    order, in place, with B p as one matrix-vector product per row. The loop
+    keeps the iterates of a chunk of sweeps (CHUNKS) and tests none of them;
+    after the chunk one vectorized pass finds each row's first stop sweep: a
+    bail (an entry not <= the bail level, which also catches NaN) before a
+    converge (every |step| < tol) of the same sweep. Stopped rows leave the
+    batch. A row runs on past its stop sweep to the end of its chunk, where a
+    speculative target may overflow, hence the local errstate."""
     b, c = coef.b, coef.c
-    p = full_power(k, p_max)
-    diff = np.empty(k)
+    m, k = gammas.size, coef.num_uavs
+    g = gammas[:, None]
+    denom = coef.a - g * coef.d
+    p = np.full((m, k), np.inf)
+    converged = np.zeros(m, dtype=bool)
+    iterations = np.zeros(m, dtype=int)
+    capped = np.zeros(m, dtype=bool)
     bail = 1e9 * p_max  # diverging iterate: the target is infeasible anyway
     tol = eps_fp * p_max
-    for n in range(1, n_max_fp + 1):
-        p_new = b @ p
-        p_new += c
-        p_new *= gamma_target
-        p_new /= denom
-        if not p_new.max() <= bail:
-            return FixedPointResult(np.full(k, np.inf), False, n)
-        np.subtract(p_new, p, out=diff)
-        np.abs(diff, out=diff)
-        p = p_new
-        if diff.max() < tol:
-            return FixedPointResult(p, True, n)
-    return FixedPointResult(p, False, n_max_fp, True)
+    # a NaN denominator is not <= 0: the row runs and bails at sweep 1
+    live = np.flatnonzero(~(denom <= 0).any(axis=1))
+    g, denom = g[live], denom[live]
+    xs = np.empty((max(CHUNKS) + 1, live.size, k))
+    xs[0] = p_max
+    n = 0
+    with np.errstate(all="ignore"):
+        for length in itertools.chain(CHUNKS, itertools.repeat(CHUNKS[-1])):
+            if n == n_max_fp or live.size == 0:
+                break
+            length = min(length, n_max_fp - n)
+            for s in range(length):
+                new = xs[s + 1]
+                np.matmul(b, xs[s, :, :, None], out=new[:, :, None])
+                new += c
+                new *= g
+                new /= denom
+            sweeps = xs[1:length + 1]
+            bailed = ~(sweeps <= bail).all(axis=2)
+            stop = bailed | (np.abs(sweeps - xs[:length]) < tol).all(axis=2)
+            hit = stop.any(axis=0)
+            if hit.any():
+                rows = np.flatnonzero(hit)
+                at = stop[:, rows].argmax(axis=0)
+                done = live[rows]
+                iterations[done] = at + (n + 1)
+                converged[done] = fine = ~bailed[at, rows]
+                p[done] = np.where(fine[:, None], sweeps[at, rows], np.inf)
+                keep = ~hit
+                live, g, denom = live[keep], g[keep], denom[keep]
+                xs = xs[:, keep]
+            n += length
+            xs[0] = xs[length]
+    p[live] = xs[0]
+    iterations[live] = n_max_fp
+    capped[live] = True
+    return p, converged, iterations, capped
 
 
 @dataclass
@@ -105,6 +164,19 @@ def _finish(result: PowerControlResult, coef: SinrCoefficients,
     return result
 
 
+def _subtree_targets(g_lo: float, g_hi: float) -> list:
+    """Midpoints of the next SUBTREE_DEPTH bisection levels in heap order:
+    node i has bracket [lo, hi] and target 0.5 (lo + hi); its children are
+    2i+1 (i rejected: [lo, mid]) and 2i+2 (i accepted: [mid, hi])."""
+    lo, hi, targets = [g_lo], [g_hi], []
+    for i in range(2 ** SUBTREE_DEPTH - 1):
+        mid = 0.5 * (lo[i] + hi[i])
+        targets.append(mid)
+        lo += [lo[i], mid]
+        hi += [mid, hi[i]]
+    return targets
+
+
 def bg_fppc(coef: SinrCoefficients, p_max: float, eps_bisect: float = 1e-4,
             eps_fp: float = 1e-3, n_max_fp: int = 20,
             gamma_floor: float | None = None,
@@ -114,7 +186,13 @@ def bg_fppc(coef: SinrCoefficients, p_max: float, eps_bisect: float = 1e-4,
     The outer loop brackets the max-min SINR in [0, 1.5 max_k Gamma(p_max 1)]
     and halves the bracket until its relative width drops below eps_bisect;
     each midpoint is tested by running the fixed-point iteration and checking
-    the resulting powers against the cap."""
+    the resulting powers against the cap.
+
+    The probes are run SUBTREE_DEPTH levels at a time: one batched fixed
+    point answers every midpoint the next levels could probe, and the walk
+    down the subtree takes the answer of each midpoint on its path. The
+    others are discarded and counted nowhere, so every counter, decision and
+    bit equals that of the one-probe-at-a-time bisection."""
     t0 = time.perf_counter()
     k = coef.num_uavs
     p_full = full_power(k, p_max)
@@ -124,19 +202,28 @@ def bg_fppc(coef: SinrCoefficients, p_max: float, eps_bisect: float = 1e-4,
     g_lo, g_hi = 0.0, 1.5 * float(np.max(gamma_full))
     if g_hi <= 0:
         return _finish(res, coef, gamma_floor, t0)
+    nodes = 2 ** SUBTREE_DEPTH - 1  # a walk past the last one starts anew
+    node = nodes
     while (g_hi - g_lo) / g_hi > eps_bisect:
+        if node >= nodes:
+            targets = _subtree_targets(g_lo, g_hi)
+            fp_p, _, iterations, capped = _fixed_points(
+                coef, np.array(targets), p_max, eps_fp, n_max_fp)
+            iterations, capped = iterations.tolist(), capped.tolist()
+            node = 0
+        g_mid, p = targets[node], fp_p[node]
+        if g_mid <= 0:  # the bracket underflowed, as a lone probe reports
+            raise ValueError("gamma_target must be positive")
         res.bisect_iterations += 1
-        g_mid = 0.5 * (g_lo + g_hi)
-        fp = fixed_point_min_power(coef, g_mid, p_max, eps_fp, n_max_fp)
-        res.fp_iterations += fp.iterations
-        res.fp_capped += fp.capped
-        res.work_ops += fp.iterations * k * k
-        ok = bool(fp.p.max() <= p_max)
+        res.fp_iterations += iterations[node]
+        res.fp_capped += capped[node]
+        res.work_ops += iterations[node] * k * k
+        ok = bool(p.max() <= p_max)
         if record_probes:
             res.probes.append((g_mid, ok))
         if ok:
             g_lo = g_mid
-            p_cand = np.minimum(fp.p, p_full)
+            p_cand = np.minimum(p, p_full)
             achieved = float(sinr(coef, p_cand).min())
             res.probe_gap_max = max(res.probe_gap_max,
                                     abs(g_mid - achieved) / g_mid)
@@ -145,6 +232,7 @@ def bg_fppc(coef: SinrCoefficients, p_max: float, eps_bisect: float = 1e-4,
                 res.gamma_star = achieved
         else:
             g_hi = g_mid
+        node = 2 * node + 1 + ok
     return _finish(res, coef, gamma_floor, t0)
 
 

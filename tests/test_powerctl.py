@@ -1,3 +1,5 @@
+import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +9,9 @@ from cfuav import powerctl
 from cfuav.association import baseline_association
 from cfuav.harness import prepare_trial
 from cfuav.orchestrator import evaluate_association
-from cfuav.powerctl import (FixedPointResult, bg_fppc, fixed_point_min_power,
-                            full_power, reference_max_min)
+from cfuav.powerctl import (FixedPointResult, PowerControlResult, bg_fppc,
+                            fixed_point_min_power, full_power,
+                            reference_max_min)
 from cfuav.receiver import SinrCoefficients, sinr
 from cfuav.scenario import ExperimentConfig, desk_scale
 from tests.conftest import make_coefficients
@@ -280,9 +283,11 @@ def test_complexity_scaling_quadratic_work():
 # ----------------------------------------------------------------- oracles
 # The probes and the SINR map in their plain array-expression form: a fresh
 # array per operation, the finiteness test apart from the bail test, and the
-# spectral test before every exact solve. The production code computes the
-# same arithmetic in place and certifies rho < 1 from a positive solution;
-# it must reproduce every decision and every bit.
+# spectral test before every exact solve. The bisection of bg_fppc runs one
+# probe at a time, each a lone fixed point tested after every sweep. The
+# production code computes the same arithmetic in place, answers the probes
+# of a bisection subtree in one batch and certifies rho < 1 from a positive
+# solution; it must reproduce every decision, every counter and every bit.
 
 def oracle_fixed_point(coef, gamma_target, p_max, eps_fp, n_max_fp):
     if gamma_target <= 0:
@@ -331,11 +336,47 @@ def oracle_sinr(coef, p):
     return out
 
 
+def oracle_bg_fppc(coef, p_max, eps_bisect=1e-4, eps_fp=1e-3, n_max_fp=20,
+                   gamma_floor=None, record_probes=False):
+    """The bisection of bg_fppc one probe at a time."""
+    p_full = full_power(coef.num_uavs, p_max)
+    gamma_full = oracle_sinr(coef, p_full)
+    res = PowerControlResult(p_star=p_full.copy(),
+                             gamma_star=float(np.min(gamma_full)))
+    g_lo, g_hi = 0.0, 1.5 * float(np.max(gamma_full))
+    while g_hi > 0 and (g_hi - g_lo) / g_hi > eps_bisect:
+        res.bisect_iterations += 1
+        g_mid = 0.5 * (g_lo + g_hi)
+        fp = oracle_fixed_point(coef, g_mid, p_max, eps_fp, n_max_fp)
+        res.fp_iterations += fp.iterations
+        res.fp_capped += fp.capped
+        res.work_ops += fp.iterations * coef.num_uavs ** 2
+        ok = bool(np.max(fp.p) <= p_max)
+        if record_probes:
+            res.probes.append((g_mid, ok))
+        if not ok:
+            g_hi = g_mid
+            continue
+        g_lo = g_mid
+        p_cand = np.minimum(fp.p, p_full)
+        achieved = float(np.min(oracle_sinr(coef, p_cand)))
+        res.probe_gap_max = max(res.probe_gap_max,
+                                abs(g_mid - achieved) / g_mid)
+        if achieved > res.gamma_star:
+            res.p_star, res.gamma_star = p_cand, achieved
+    res.feasible = bool(np.any(coef.a > 0)) and not (
+        gamma_floor is not None
+        and res.gamma_star < gamma_floor * (1 - 1e-12))
+    return res
+
+
 def solve_both_ways(monkeypatch, solver, coef, **kwargs):
-    """(production result, result with every probe and SINR from the oracles)."""
+    """(production result, the same solve by the oracles): oracle_bg_fppc for
+    bg_fppc, reference_max_min with every probe and SINR from the oracles."""
     res = solver(coef, **kwargs)
+    if solver is bg_fppc:
+        return res, oracle_bg_fppc(coef, **kwargs)
     with monkeypatch.context() as m:
-        m.setattr(powerctl, "fixed_point_min_power", oracle_fixed_point)
         m.setattr(powerctl, "_exact_min_power", oracle_exact_min_power)
         m.setattr(powerctl, "sinr", oracle_sinr)
         ref = solver(coef, **kwargs)
@@ -412,6 +453,33 @@ def test_solvers_match_oracles_on_desk_coefficients(monkeypatch,
                 tol=tol, gamma_floor=floor))
 
 
+@pytest.fixture(scope="module")
+def paper_coefficient_set():
+    """BA coefficients at full power of a real paper-scale trial (L=100,
+    N=4, tau_p=10, K=50; seed 2026, trial 0)."""
+    config = ExperimentConfig(master_seed=2026)
+    data = prepare_trial(config, 0)
+    a = baseline_association(data.beta, config.pilot_len, config.n_top)
+    coef, _ = evaluate_association(
+        data.moments_full, a, data.beta, data.sigma2,
+        full_power(config.num_uavs, config.p_max_w), config)
+    return config, coef
+
+
+def test_bg_fppc_matches_oracle_on_paper_scale_set(paper_coefficient_set):
+    config, coef = paper_coefficient_set
+    for inner in (dict(eps_fp=config.eps_fp, n_max_fp=config.n_max_fp),
+                  TIGHT):
+        kwargs = dict(p_max=config.p_max_w, eps_bisect=config.eps_bisect,
+                      gamma_floor=config.qos_sinr_floor, record_probes=True,
+                      **inner)
+        res = bg_fppc(coef, **kwargs)
+        assert_same_solve(res, oracle_bg_fppc(coef, **kwargs))
+        if inner is not TIGHT:
+            # most production probes stop at the cap on this set
+            assert 2 * res.fp_capped > res.bisect_iterations
+
+
 def test_fixed_point_matches_oracle_on_edge_inputs():
     cases = [
         # a - gamma d <= 0: no sweep at all
@@ -442,6 +510,79 @@ def test_fixed_point_matches_oracle_on_edge_inputs():
     assert outcomes[2] == (False, False, True, 1)
     assert outcomes[3][:3] == (True, False, False)
     assert outcomes[4] == (False, True, False, 20)
+
+
+def chunk_of(sweep):
+    """Index of the chunk of the batched fixed point that holds a sweep."""
+    end = 0
+    for i, length in enumerate(itertools.chain(
+            powerctl.CHUNKS, itertools.repeat(powerctl.CHUNKS[-1]))):
+        end += length
+        if sweep <= end:
+            return i
+
+
+def batched_rows(coef, gammas, p_max, eps_fp, n_max_fp):
+    """The rows of one batched fixed point, each checked against its lone
+    call and the oracle; no RuntimeWarning may escape the batch."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        p, converged, iterations, capped = powerctl._fixed_points(
+            coef, np.array(gammas, dtype=float), p_max, eps_fp, n_max_fp)
+    rows = []
+    for i, gamma in enumerate(gammas):
+        row = FixedPointResult(p[i], bool(converged[i]), int(iterations[i]),
+                               bool(capped[i]))
+        for lone in (fixed_point_min_power, oracle_fixed_point):
+            assert_same_fixed_point(row, lone(coef, gamma, p_max, eps_fp,
+                                              n_max_fp))
+        rows.append(row)
+    return rows
+
+
+def test_batched_fixed_point_rows_equal_lone_calls(desk_coefficient_sets):
+    # one UAV, p <- gamma (0.9 p + 0.1) / (1 - 0.05 gamma): the target sets
+    # the contraction rate, so one batch holds every way a row can end
+    coef = coef_of([1.0], [0.05], [[0.9]], [0.1])
+    rows = batched_rows(coef, [0.1, 1.0, 10.0, 25.0, np.nan], 1.0, 1e-3, 20)
+    assert [(r.converged, r.capped, np.isinf(r.p).all(), r.iterations)
+            for r in rows] == [
+        (True, False, False, 4),    # converges in a few sweeps
+        (False, True, False, 20),   # rate 0.95: stops at the cap
+        (False, False, True, 8),    # rate 18: passes the bail level
+        (False, False, True, 0),    # a - gamma d <= 0: no sweep at all
+        (False, False, True, 1)]    # NaN denominator: runs, then bails
+    # tight settings: rows stop in several different chunks
+    rows = batched_rows(coef, [0.001, 0.1, 0.5, 0.8, 1.0, 1.05, 10.0],
+                        1.0, **TIGHT)
+    assert [r.iterations for r in rows] == [4, 9, 24, 59, 288, 2000, 8]
+    assert len({chunk_of(r.iterations) for r in rows}) >= 5
+    # a NaN coefficient: NaN denominators run one sweep and bail, unless
+    # another UAV's denominator is <= 0
+    nan_coef = coef_of([1.0, 1.0], [np.nan, 1.0], np.zeros((2, 2)),
+                       [0.1, 0.1])
+    rows = batched_rows(nan_coef, [0.5, 2.0], 1.0, 1e-3, 20)
+    assert [r.iterations for r in rows] == [1, 0]
+    # a row that bails at once runs on to the end of its chunk and
+    # overflows there
+    rows = batched_rows(coef_of([1.0], [0.0], [[1e100]], [0.1]), [1.0], 1.0,
+                        1e-3, 20)
+    assert rows[0].iterations == 1
+    # fixed point just above the bail level: the sweep that first passes it
+    # also takes a step below tol, and the bail decides
+    tie = coef_of([1.0], [0.0], [[0.5]], [5e8 + 5e-4])
+    before = oracle_fixed_point(tie, 1.0, 1.0, 1e-3, 39).p
+    after = tie.b @ before + tie.c
+    assert after.max() > 1e9 and np.abs(after - before).max() < 1e-3
+    rows = batched_rows(tie, [1.0, 0.25], 1.0, 1e-3, 100)
+    assert (rows[0].iterations, rows[0].converged) == (40, False)
+    # real desk rows at K=20 around gamma*, a full subtree and a deeper one
+    _, coef = desk_coefficient_sets[-1]
+    gamma_star = reference_max_min(coef, p_max=0.2, tol=1e-9).gamma_star
+    for m in (7, 15):
+        gammas = list(np.linspace(0.6, 1.2, m) * gamma_star)
+        for inner in (dict(eps_fp=1e-3, n_max_fp=20), TIGHT):
+            batched_rows(coef, gammas, 0.2, **inner)
 
 
 def test_exact_probe_matches_oracle_on_edge_inputs(monkeypatch):
@@ -494,6 +635,12 @@ def test_bg_fppc_matches_oracle_through_infeasible_probes(monkeypatch):
         assert not res.probes[0][1] and np.isinf(first.p).all()
         first_sweeps.append(first.iterations)
     assert first_sweeps[0] == 0 and 0 < first_sweeps[1] < 20
+    # an unserved UAV (a = d = 0) rejects every target until the midpoint
+    # underflows to 0, which a lone probe refuses
+    unserved = coef_of([0.0, 1.0], [0.0, 0.0], np.zeros((2, 2)), [0.1, 0.1])
+    for solve in (bg_fppc, oracle_bg_fppc):
+        with pytest.raises(ValueError, match="must be positive"):
+            solve(unserved, p_max=0.2, **PRODUCTION)
 
 
 def test_sinr_matches_oracle_bitwise():
@@ -511,26 +658,28 @@ def test_sinr_matches_oracle_bitwise():
 
 # -------------------------------------------------------- fp_capped counter
 
-def test_fp_capped_counts_probes_stopped_at_cap(monkeypatch):
+def test_fp_capped_counts_probes_stopped_at_cap():
     # weak noise makes the instance interference-limited: near gamma* the
     # fixed point contracts slowly, so some production probes stop at
     # n_max_fp = 20 while the tight settings converge on every probe
     coef = make_coefficients(rng(16), 10)
     coef = replace(coef, c=0.027 * coef.c)
-    probes = []
 
-    def recording_fixed_point(*args):
-        probes.append(fixed_point_min_power(*args))
-        return probes[-1]
+    def recomputed(res, eps_fp, n_max_fp):
+        # each recorded probe as a lone fixed point
+        return [fixed_point_min_power(coef, g_mid, 0.2, eps_fp, n_max_fp)
+                for g_mid, _ in res.probes]
 
-    monkeypatch.setattr(powerctl, "fixed_point_min_power",
-                        recording_fixed_point)
-    production = bg_fppc(coef, p_max=0.2, **PRODUCTION)
+    production = bg_fppc(coef, p_max=0.2, record_probes=True, **PRODUCTION)
+    probes = recomputed(production, PRODUCTION["eps_fp"],
+                        PRODUCTION["n_max_fp"])
     assert 0 < production.fp_capped <= production.bisect_iterations
     assert production.fp_capped == sum(fp.capped for fp in probes)
+    assert production.fp_iterations == sum(fp.iterations for fp in probes)
     assert all(fp.iterations == 20 and not fp.converged
                for fp in probes if fp.capped)
-    probes.clear()
-    tight = bg_fppc(coef, p_max=0.2, eps_bisect=1e-4, **TIGHT)
+    tight = bg_fppc(coef, p_max=0.2, eps_bisect=1e-4, record_probes=True,
+                    **TIGHT)
+    probes = recomputed(tight, **TIGHT)
     assert tight.fp_capped == 0 and not any(fp.capped for fp in probes)
     assert reference_max_min(coef, p_max=0.2).fp_capped == 0
