@@ -4,13 +4,14 @@ Two solvers over the same coefficient form:
 
 * bg_fppc: bisection over the target SINR, each probe answered by the
   classical fixed-point minimal-power iteration and a box feasibility check.
-* reference_max_min: same bisection but each probe is decided exactly by
-  solving the linear system (diag(a - g d) - g B) p = g c, which characterizes
-  the minimal power vector at target g. Used as the optimality oracle for the
-  interior-point-style solver it replaces.
+* reference_max_min: the normalized Perron-Frobenius balance iteration
+  p <- p_max T(p) / max_j T(p)_j with T(p) = (d p + B p + c) / a, stopped
+  by a certificate of its distance to the optimum. Used as the optimality
+  reference for the interior-point-style solver it replaces.
 
-Both keep the best feasible (p, min-SINR) pair seen, starting from full
-power, so they never return a worse minimum than full-power transmission.
+Both start from full power and never return a worse minimum than
+full-power transmission. A UAV with a_k <= 0 is unserved: no power vector
+gives it a positive SINR, so both return the full-power result at once.
 
 The vectors are short (K UAVs), so a probe's cost is per-call overhead, not
 arithmetic. bg_fppc therefore answers its probes in batches. One batched
@@ -21,15 +22,10 @@ answers off the path are discarded. A batched sweep is four calls for all
 rows and tests nothing: after a chunk of sweeps (CHUNKS) one vectorized pass
 finds each row's first stop sweep, a bail before a converge, and stopped rows
 leave the batch. B p stays one matrix-vector product per row, because one
-matrix product over the stacked rows sums in another order.
-
-An exact probe solves first: a positive solution certifies that the
-Z-matrix diag(a - g d) - g B is a nonsingular M-matrix, i.e.
-rho(g D^-1 B) < 1; a clearly negative entry rejects the target either way,
-so the eigenvalue test runs only for a solution with its smallest entry in
-[-1e-12 p_max, 0]. Both solvers keep the operands and the order of every
-floating-point operation of the plain expressions, so the probe decisions,
-iteration counts and powers do not depend on these shortcuts."""
+matrix product over the stacked rows sums in another order. bg_fppc keeps
+the operands and the order of every floating-point operation of the plain
+expressions, so its probe decisions, iteration counts and powers do not
+depend on these shortcuts."""
 
 import itertools
 import time
@@ -43,6 +39,7 @@ from .receiver import SinrCoefficients, sinr
 
 SUBTREE_DEPTH = 3  # bisection levels that one batched fixed point answers
 CHUNKS = (4, 16)   # sweeps between stop searches; the last length repeats
+MAX_SWEEPS = 1000  # balance sweeps of reference_max_min before it gives up
 
 
 def full_power(num_uavs: int, p_max: float) -> np.ndarray:
@@ -144,8 +141,8 @@ class PowerControlResult:
 
     p_star: np.ndarray
     gamma_star: float
-    fp_iterations: int = 0
-    fp_capped: int = 0           # probes whose fixed point hit n_max_fp
+    fp_iterations: int = 0       # fixed-point or balance sweeps
+    fp_capped: int = 0           # probes or balance runs stopped at their cap
     bisect_iterations: int = 0
     feasible: bool = True
     elapsed: float = 0.0
@@ -200,7 +197,7 @@ def bg_fppc(coef: SinrCoefficients, p_max: float, eps_bisect: float = 1e-4,
     res = PowerControlResult(p_star=p_full.copy(),
                              gamma_star=float(np.min(gamma_full)))
     g_lo, g_hi = 0.0, 1.5 * float(np.max(gamma_full))
-    if g_hi <= 0:
+    if g_hi <= 0 or not (coef.a > 0).all():
         return _finish(res, coef, gamma_floor, t0)
     nodes = 2 ** SUBTREE_DEPTH - 1  # a walk past the last one starts anew
     node = nodes
@@ -236,81 +233,49 @@ def bg_fppc(coef: SinrCoefficients, p_max: float, eps_bisect: float = 1e-4,
     return _finish(res, coef, gamma_floor, t0)
 
 
-def _exact_min_power(coef: SinrCoefficients, gamma: float, p_max: float):
-    """Exact feasibility probe: the minimal power vector at target gamma, or
-    None when the target is infeasible (even ignoring the cap).
-
-    m = diag(a - gamma d) - gamma B is a Z-matrix. A solution of m p = gamma c
-    with every entry > 0 makes it a nonsingular M-matrix, which certifies
-    rho(gamma D^-1 B) < 1. When rho < 1, m^-1 >= 0 and the exact solution is
-    >= 0, so an entry below the rounding allowance rejects the target
-    whatever the spectral radius. The eigenvalue test thus runs only when
-    the smallest entry lies in [-1e-12 p_max, 0]."""
-    denom = coef.a - gamma * coef.d
-    if (denom <= 0).any():
-        return None
-    m = np.diag(denom) - gamma * coef.b
-    try:
-        p = np.linalg.solve(m, gamma * coef.c)
-    except np.linalg.LinAlgError:
-        return None
-    if p.min() > 0:
-        return p
-    if (p < -1e-12 * p_max).any():
-        return None
-    scaled_b = gamma * coef.b / denom[:, None]
-    if np.abs(np.linalg.eigvals(scaled_b)).max() >= 1.0:
-        return None
-    return np.clip(p, 0.0, None)
-
-
 def reference_max_min(coef: SinrCoefficients, p_max: float, tol: float = 1e-6,
                       gamma_floor: float | None = None) -> PowerControlResult:
-    """Max-min power control with exact per-target feasibility decisions.
+    """Max-min power control by the normalized Perron-Frobenius balance
+    iteration p <- p_max T(p) / max_j T(p)_j, T(p) = (d p + B p + c) / a, so
+    that Gamma_k(p) = p_k / T_k(p).
 
-    At the returned optimum the exact solve equalizes every SINR, so this is
-    the ground truth the iterative solver is compared against."""
+    Every iterate has its largest entry at p_max, and at such a p the
+    optimum gamma* lies in [min_k Gamma_k(p), max_k Gamma_k(p)]. The
+    iteration therefore stops on the balance certificate
+    max_k Gamma_k(p) <= (1 + tol) min_k Gamma_k(p), which puts
+    min_k Gamma_k(p) within a factor (1 + tol) of gamma*. A set that does
+    not balance within MAX_SWEEPS sweeps (zero noise with a reducible B can
+    drive an entry to 0) counts in fp_capped and returns its last iterate.
+    Either way the result is the better of full power and the last iterate
+    clipped to the box; fp_iterations counts the evaluations of T."""
     t0 = time.perf_counter()
     k = coef.num_uavs
     p_full = full_power(k, p_max)
-    gamma_full = sinr(coef, p_full)
     res = PowerControlResult(p_star=p_full.copy(),
-                             gamma_star=float(np.min(gamma_full)))
-    if not np.any(coef.a > 0):
+                             gamma_star=float(np.min(sinr(coef, p_full))))
+    if not (coef.a > 0).all():
         return _finish(res, coef, gamma_floor, t0)
-
-    p_cap = p_max * (1 + 1e-12)
-
-    def probe(gamma):
-        p = _exact_min_power(coef, gamma, p_max)
-        if p is None or p.max() > p_cap:
-            return None
-        return np.minimum(p, p_full)
-
-    # each UAV alone at full power bounds the max-min from above
-    with np.errstate(divide="ignore"):
-        solo = np.where(coef.a > 0,
-                        p_max * coef.a / (p_max * coef.d + coef.c), 0.0)
-    g_hi = float(np.min(np.where(coef.a > 0, solo, np.inf)))
-    if not np.isfinite(g_hi) or g_hi <= 0:
-        return _finish(res, coef, gamma_floor, t0)
-    top = probe(g_hi)
-    if top is not None:
-        res.p_star, res.gamma_star = top, float(np.min(sinr(coef, top)))
-        res.bisect_iterations = 1
-        return _finish(res, coef, gamma_floor, t0)
-    g_lo = 0.0
-    while (g_hi - g_lo) / g_hi > tol:
-        res.bisect_iterations += 1
-        g_mid = 0.5 * (g_lo + g_hi)
-        p = probe(g_mid)
-        res.work_ops += k ** 3
-        if p is not None:
-            g_lo = g_mid
-            achieved = float(sinr(coef, p).min())
-            if achieved > res.gamma_star:
-                res.p_star = p
-                res.gamma_star = achieved
+    m = coef.b + np.diag(coef.d)
+    m /= coef.a[:, None]
+    u = coef.c / coef.a
+    bound = 1.0 + tol
+    p = p_full
+    # T_k(p) = 0 (no noise, no interference into k) gives Gamma_k = inf or
+    # NaN, which fails the certificate without a warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sweep in range(1, MAX_SWEEPS + 1):
+            t = m @ p
+            t += u
+            gam = p / t
+            if gam.max() <= bound * gam.min():
+                break
+            p = t * (p_max / t.max())
         else:
-            g_hi = g_mid
+            res.fp_capped = 1
+    res.fp_iterations = sweep
+    res.work_ops = sweep * k * k
+    p = np.minimum(p, p_max)
+    achieved = float(np.min(sinr(coef, p)))
+    if achieved > res.gamma_star:
+        res.p_star, res.gamma_star = p, achieved
     return _finish(res, coef, gamma_floor, t0)

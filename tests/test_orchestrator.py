@@ -117,4 +117,4 @@ def test_run_scheme_reports_fp_accounting(trial, tight_config):
     pp = run_scheme(SchemeId("BA", "PP"), trial, tight_config)
     assert pp.fp_iterations > 0 and pp.bisect_iterations > 0
     tp = run_scheme(SchemeId("BA", "TP"), trial, tight_config)
-    assert tp.fp_iterations == 0 and tp.bisect_iterations > 0
+    assert tp.fp_iterations > 0 and tp.bisect_iterations == 0

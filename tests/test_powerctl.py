@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,13 @@ from cfuav.powerctl import (FixedPointResult, PowerControlResult, bg_fppc,
 from cfuav.receiver import SinrCoefficients, sinr
 from cfuav.scenario import ExperimentConfig, desk_scale
 from tests.conftest import make_coefficients
+
+# the benchmark's output checks, loaded by path: perfbench is no package
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_checks",
+    Path(__file__).resolve().parents[1] / "perfbench" / "checks.py")
+checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checks)
 
 # tight inner-loop settings under which the fixed point actually converges;
 # the production defaults (eps_fp=1e-3, 20 sweeps) trade accuracy for the
@@ -268,6 +277,32 @@ def test_reference_no_interference_hits_solo_bound():
     assert res.gamma_star == pytest.approx(2.0, rel=1e-9)
 
 
+def test_reference_stops_at_sweep_cap_when_it_cannot_balance():
+    # no noise and a reducible B: T(p) = (p_1, p_1 + 2 p_2) drives p_1 to 0
+    # while Gamma(p) tends to (1, 1/2), so the SINRs never balance; the
+    # supremum 1/2 is attained by no power vector
+    coef = coef_of([1.0, 1.0], [1.0, 2.0], [[0.0, 0.0], [1.0, 0.0]],
+                   [0.0, 0.0])
+    # T_1(p) = 0 (no noise, no interference into UAV 1): Gamma_1 is inf,
+    # then NaN, and the sinr map reads 0 for UAV 1 at any power
+    silent = coef_of([1.0, 1.0], [0.0, 0.0], [[0.0, 0.0], [1.0, 0.0]],
+                     [0.0, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = reference_max_min(coef, p_max=0.2, tol=1e-4)
+        res_silent = reference_max_min(silent, p_max=0.2, tol=1e-4)
+    for c, r in ((coef, res), (silent, res_silent)):
+        assert (r.fp_iterations, r.fp_capped, r.bisect_iterations) == (
+            powerctl.MAX_SWEEPS, 1, 0)
+        assert r.gamma_star == np.min(sinr(c, r.p_star))
+    # the last iterate beats full power (min SINR 1/3)
+    assert res.p_star[1] == 0.2 and 0.0 < res.p_star[0] < 1e-100
+    assert 1 / 3 < res.gamma_star <= 0.5
+    # every power vector reads 0 for UAV 1: full power stays
+    np.testing.assert_array_equal(res_silent.p_star, [0.2, 0.2])
+    assert res_silent.gamma_star == 0.0
+
+
 def test_complexity_scaling_quadratic_work():
     r = rng(13)
     work = []
@@ -285,9 +320,10 @@ def test_complexity_scaling_quadratic_work():
 # array per operation, the finiteness test apart from the bail test, and the
 # spectral test before every exact solve. The bisection of bg_fppc runs one
 # probe at a time, each a lone fixed point tested after every sweep. The
-# production code computes the same arithmetic in place, answers the probes
-# of a bisection subtree in one batch and certifies rho < 1 from a positive
-# solution; it must reproduce every decision, every counter and every bit.
+# production code computes the same arithmetic in place and answers the
+# probes of a bisection subtree in one batch; it must reproduce every
+# decision, every counter and every bit. reference_max_min balances instead
+# of bisecting, so it is held to the exact-probe bisection by tolerance.
 
 def oracle_fixed_point(coef, gamma_target, p_max, eps_fp, n_max_fp):
     if gamma_target <= 0:
@@ -310,6 +346,11 @@ def oracle_fixed_point(coef, gamma_target, p_max, eps_fp, n_max_fp):
 
 
 def oracle_exact_min_power(coef, gamma, p_max):
+    """The minimal power vector at target gamma, or None when the target is
+    infeasible even ignoring the cap. The spectral test rho(gamma D^-1 B) < 1
+    makes the Z-matrix diag(a - gamma d) - gamma B a nonsingular M-matrix,
+    whose inverse is >= 0, so its solution is the minimal power vector; an
+    entry below the rounding allowance -1e-12 p_max rejects the target."""
     denom = coef.a - gamma * coef.d
     if np.any(denom <= 0):
         return None
@@ -344,6 +385,8 @@ def oracle_bg_fppc(coef, p_max, eps_bisect=1e-4, eps_fp=1e-3, n_max_fp=20,
     res = PowerControlResult(p_star=p_full.copy(),
                              gamma_star=float(np.min(gamma_full)))
     g_lo, g_hi = 0.0, 1.5 * float(np.max(gamma_full))
+    if not np.all(coef.a > 0):  # an unserved UAV: full power, no probe
+        g_hi = 0.0
     while g_hi > 0 and (g_hi - g_lo) / g_hi > eps_bisect:
         res.bisect_iterations += 1
         g_mid = 0.5 * (g_lo + g_hi)
@@ -370,17 +413,66 @@ def oracle_bg_fppc(coef, p_max, eps_bisect=1e-4, eps_fp=1e-3, n_max_fp=20,
     return res
 
 
-def solve_both_ways(monkeypatch, solver, coef, **kwargs):
-    """(production result, the same solve by the oracles): oracle_bg_fppc for
-    bg_fppc, reference_max_min with every probe and SINR from the oracles."""
-    res = solver(coef, **kwargs)
-    if solver is bg_fppc:
-        return res, oracle_bg_fppc(coef, **kwargs)
-    with monkeypatch.context() as m:
-        m.setattr(powerctl, "_exact_min_power", oracle_exact_min_power)
-        m.setattr(powerctl, "sinr", oracle_sinr)
-        ref = solver(coef, **kwargs)
-    return res, ref
+def oracle_reference_max_min(coef, p_max, tol=1e-6, gamma_floor=None):
+    """Max-min SINR by bisection over the target, each probe decided by
+    oracle_exact_min_power; the bracket puts gamma* within a factor (1 - tol)
+    of the result. Each UAV alone at full power bounds gamma* from above."""
+    p_full = full_power(coef.num_uavs, p_max)
+    res = PowerControlResult(p_star=p_full.copy(),
+                             gamma_star=float(np.min(oracle_sinr(coef, p_full))))
+    p_cap = p_max * (1 + 1e-12)
+
+    def probe(gamma):
+        p = oracle_exact_min_power(coef, gamma, p_max)
+        if p is None or np.max(p) > p_cap:
+            return None
+        return np.minimum(p, p_full)
+
+    g_lo, g_hi = 0.0, 0.0  # an unserved UAV: full power, no probe
+    if np.all(coef.a > 0):
+        with np.errstate(divide="ignore"):
+            g_hi = float(np.min(p_max * coef.a / (p_max * coef.d + coef.c)))
+    top = probe(g_hi) if np.isfinite(g_hi) and g_hi > 0 else None
+    if top is not None:
+        res.p_star, res.gamma_star = top, float(np.min(oracle_sinr(coef, top)))
+        g_lo = g_hi
+    while np.isfinite(g_hi) and g_hi > 0 and (g_hi - g_lo) / g_hi > tol:
+        g_mid = 0.5 * (g_lo + g_hi)
+        p = probe(g_mid)
+        if p is None:
+            g_hi = g_mid
+            continue
+        g_lo = g_mid
+        achieved = float(np.min(oracle_sinr(coef, p)))
+        if achieved > res.gamma_star:
+            res.p_star, res.gamma_star = p, achieved
+    res.feasible = bool(np.any(coef.a > 0)) and not (
+        gamma_floor is not None
+        and res.gamma_star < gamma_floor * (1 - 1e-12))
+    return res
+
+
+def solve_both_ways(coef, **kwargs):
+    """bg_fppc and oracle_bg_fppc on the same solve."""
+    return bg_fppc(coef, **kwargs), oracle_bg_fppc(coef, **kwargs)
+
+
+def check_reference(coef, p_max, tol, oracle, gamma_floor=None):
+    """reference_max_min at tol against the oracle's gamma* (the exact-probe
+    bisection at tol 1e-12): it passes the benchmark's output check, its
+    powers bracket gamma* between their least and largest SINR, and gamma*
+    lies within tol above the result."""
+    res = reference_max_min(coef, p_max, tol=tol, gamma_floor=gamma_floor)
+    gamma_full = float(np.min(sinr(coef, full_power(coef.num_uavs, p_max))))
+    assert checks.check_solve(coef, p_max, res, gamma_full) == []
+    gam = sinr(coef, res.p_star)
+    assert res.gamma_star == gam.min()
+    assert gam.min() <= oracle.gamma_star * (1 + 1e-12)
+    assert oracle.gamma_star <= gam.max() * (1 + 1e-12)
+    assert res.gamma_star >= oracle.gamma_star * (1 - tol)
+    assert (res.bisect_iterations, res.fp_capped) == (0, 0)
+    assert res.fp_iterations >= 1
+    return res
 
 
 def assert_same_solve(res, ref):
@@ -396,74 +488,81 @@ def assert_same_fixed_point(res, ref):
     assert res[1:] == ref[1:]
 
 
-def assert_same_probe(p, ref):
-    assert (p is None) == (ref is None)
-    if p is not None:
-        assert p.tobytes() == ref.tobytes()
-
-
 PRODUCTION = dict(eps_bisect=1e-4, eps_fp=1e-3, n_max_fp=20)
 
 
 @pytest.mark.parametrize("settings", ["production", "tight"])
-def test_solvers_match_oracles_on_random_instances(monkeypatch, settings):
+def test_solvers_match_oracles_on_random_instances(settings):
     r = rng(14)
     bg_kwargs = PRODUCTION if settings == "production" else dict(
         eps_bisect=1e-4, **TIGHT)
     tol = 1e-4 if settings == "production" else 1e-9
     for _ in range(200):
         coef = make_coefficients(r, int(r.integers(1, 21)))
-        assert_same_solve(*solve_both_ways(monkeypatch, bg_fppc, coef,
-                                           p_max=0.2, record_probes=True,
-                                           **bg_kwargs))
-        assert_same_solve(*solve_both_ways(monkeypatch, reference_max_min,
-                                           coef, p_max=0.2, tol=tol))
+        assert_same_solve(*solve_both_ways(coef, p_max=0.2,
+                                           record_probes=True, **bg_kwargs))
+        check_reference(coef, 0.2, tol,
+                        oracle_reference_max_min(coef, 0.2, tol=1e-12))
 
 
-@pytest.fixture(scope="module")
-def desk_coefficient_sets():
-    """BA coefficients at full power of real desk trials, K in {5, 10, 20}:
-    what BA+PP and BA+TP hand to their solvers."""
-    sets = []
-    for k in (5, 10, 20):
-        config = desk_scale(ExperimentConfig(), num_uavs=k, master_seed=2026)
-        for trial in range(2):
-            data = prepare_trial(config, trial)
-            a = baseline_association(data.beta, config.pilot_len, config.n_top)
-            coef, _ = evaluate_association(
-                data.moments_full, a, data.beta, data.sigma2,
-                full_power(k, config.p_max_w), config)
-            sets.append((config, coef))
-    return sets
-
-
-def test_solvers_match_oracles_on_desk_coefficients(monkeypatch,
-                                                    desk_coefficient_sets):
-    for config, coef in desk_coefficient_sets:
-        floor = config.qos_sinr_floor
-        for inner in (dict(eps_fp=config.eps_fp, n_max_fp=config.n_max_fp),
-                      TIGHT):
-            assert_same_solve(*solve_both_ways(
-                monkeypatch, bg_fppc, coef, p_max=config.p_max_w,
-                eps_bisect=config.eps_bisect, gamma_floor=floor,
-                record_probes=True, **inner))
-        for tol in (config.eps_bisect, 1e-9):
-            assert_same_solve(*solve_both_ways(
-                monkeypatch, reference_max_min, coef, p_max=config.p_max_w,
-                tol=tol, gamma_floor=floor))
-
-
-@pytest.fixture(scope="module")
-def paper_coefficient_set():
-    """BA coefficients at full power of a real paper-scale trial (L=100,
-    N=4, tau_p=10, K=50; seed 2026, trial 0)."""
-    config = ExperimentConfig(master_seed=2026)
-    data = prepare_trial(config, 0)
+def ba_coefficients(config, trial):
+    """BA coefficients at full power of a real trial: what BA+PP and BA+TP
+    hand to their solvers."""
+    data = prepare_trial(config, trial)
     a = baseline_association(data.beta, config.pilot_len, config.n_top)
     coef, _ = evaluate_association(
         data.moments_full, a, data.beta, data.sigma2,
         full_power(config.num_uavs, config.p_max_w), config)
     return config, coef
+
+
+@pytest.fixture(scope="module")
+def desk_coefficient_sets():
+    """Desk trials 0 and 1 at seed 2026, K in {5, 10, 20}."""
+    return [ba_coefficients(desk_scale(ExperimentConfig(), num_uavs=k,
+                                       master_seed=2026), trial)
+            for k in (5, 10, 20) for trial in range(2)]
+
+
+def test_solvers_match_oracles_on_desk_coefficients(desk_coefficient_sets):
+    for config, coef in desk_coefficient_sets:
+        floor = config.qos_sinr_floor
+        for inner in (dict(eps_fp=config.eps_fp, n_max_fp=config.n_max_fp),
+                      TIGHT):
+            assert_same_solve(*solve_both_ways(
+                coef, p_max=config.p_max_w, eps_bisect=config.eps_bisect,
+                gamma_floor=floor, record_probes=True, **inner))
+
+
+@pytest.fixture(scope="module")
+def desk_ba_sets():
+    """The sets of the benchmark's power-solve workload at seeds 2026 and 7:
+    48 consecutive desk trials each, K cycling through 5, 10 and 20."""
+    sets = []
+    for seed in (2026, 7):
+        configs = [desk_scale(ExperimentConfig(), num_uavs=k, master_seed=seed)
+                   for k in (5, 10, 20)]
+        sets += [ba_coefficients(configs[trial % 3], trial)
+                 for trial in range(48)]
+    return sets
+
+
+def test_reference_certified_on_desk_ba_sets(desk_ba_sets):
+    for config, coef in desk_ba_sets:
+        floor = config.qos_sinr_floor
+        oracle = oracle_reference_max_min(coef, config.p_max_w, tol=1e-12,
+                                          gamma_floor=floor)
+        for tol in (config.eps_bisect, 1e-9):
+            res = check_reference(coef, config.p_max_w, tol, oracle,
+                                  gamma_floor=floor)
+            assert res.feasible == (res.gamma_star >= floor * (1 - 1e-12))
+
+
+@pytest.fixture(scope="module")
+def paper_coefficient_set():
+    """A real paper-scale trial (L=100, N=4, tau_p=10, K=50; seed 2026,
+    trial 0)."""
+    return ba_coefficients(ExperimentConfig(master_seed=2026), 0)
 
 
 def test_bg_fppc_matches_oracle_on_paper_scale_set(paper_coefficient_set):
@@ -478,6 +577,13 @@ def test_bg_fppc_matches_oracle_on_paper_scale_set(paper_coefficient_set):
         if inner is not TIGHT:
             # most production probes stop at the cap on this set
             assert 2 * res.fp_capped > res.bisect_iterations
+
+
+def test_reference_certified_on_paper_scale_set(paper_coefficient_set):
+    config, coef = paper_coefficient_set
+    oracle = oracle_reference_max_min(coef, config.p_max_w, tol=1e-12)
+    for tol in (config.eps_bisect, 1e-9):
+        check_reference(coef, config.p_max_w, tol, oracle)
 
 
 def test_fixed_point_matches_oracle_on_edge_inputs():
@@ -585,41 +691,37 @@ def test_batched_fixed_point_rows_equal_lone_calls(desk_coefficient_sets):
             batched_rows(coef, gammas, 0.2, **inner)
 
 
-def test_exact_probe_matches_oracle_on_edge_inputs(monkeypatch):
-    calls = []
-    eigvals = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals",
-                        lambda x: calls.append(1) or eigvals(x))
+def test_exact_probe_matches_oracle_on_edge_inputs():
+    # the exact probe of the bisection oracle against the plain linear solve
     cases = [
-        # positive solution: certified, no spectral test
+        # rho = 0.5: a positive solution
         (coef_of([1.0, 1.0], [0.0, 0.0], [[0.0, 0.5], [0.5, 0.0]],
-                 [0.1, 0.1]), 1.0, 0, True),
+                 [0.1, 0.1]), True),
         # a - gamma d <= 0
-        (coef_of([1.0], [2.0], [[0.0]], [0.1]), 1.0, 0, False),
-        # rho = 2: the solution has negative entries, which reject the
-        # target without a spectral test
+        (coef_of([1.0], [2.0], [[0.0]], [0.1]), False),
+        # rho = 2: the solution has negative entries
         (coef_of([1.0, 1.0], [0.0, 0.0], [[0.0, 2.0], [2.0, 0.0]],
-                 [0.1, 0.1]), 1.0, 0, False),
+                 [0.1, 0.1]), False),
         # rho = 2 and no noise: the solution is 0, the spectral test rejects
         (coef_of([1.0, 1.0], [0.0, 0.0], [[0.0, 2.0], [2.0, 0.0]],
-                 [0.0, 0.0]), 1.0, 1, False),
-        # rho = 1: m is singular and the solve fails
+                 [0.0, 0.0]), False),
+        # rho = 1: m is singular
         (coef_of([1.0, 1.0], [0.0, 0.0], [[0.0, 1.0], [1.0, 0.0]],
-                 [0.1, 0.1]), 1.0, 0, False),
+                 [0.1, 0.1]), False),
         # a zero noise term with no interference into that UAV: an exact
-        # zero power, so the spectral test decides (rho = 0)
+        # zero power, and the spectral test accepts (rho = 0)
         (coef_of([1.0, 1.0], [0.0, 0.0], [[0.0, 0.0], [0.1, 0.0]],
-                 [0.0, 0.1]), 1.0, 1, True),
+                 [0.0, 0.1]), True),
     ]
-    for coef, gamma, n_eig, feasible in cases:
-        calls.clear()
-        p = powerctl._exact_min_power(coef, gamma, 1.0)
-        assert len(calls) == n_eig
+    for coef, feasible in cases:
+        p = oracle_exact_min_power(coef, 1.0, 1.0)
         assert (p is not None) == feasible
-        assert_same_probe(p, oracle_exact_min_power(coef, gamma, 1.0))
+        if feasible:
+            np.testing.assert_array_equal(
+                p, np.clip(direct_solve(coef, 1.0), 0.0, None))
 
 
-def test_bg_fppc_matches_oracle_through_infeasible_probes(monkeypatch):
+def test_bg_fppc_matches_oracle_through_infeasible_probes():
     # one strong UAV sets the bracket far above what the coupled pair can
     # reach: early probes have a - gamma d <= 0 or diverge to the bail level
     cases = [coef_of([1.0, 1.0], [1.0, 0.0], np.zeros((2, 2)), [0.1, 1e-3]),
@@ -628,19 +730,24 @@ def test_bg_fppc_matches_oracle_through_infeasible_probes(monkeypatch):
                      [0.1, 0.1, 0.1])]
     first_sweeps = []
     for coef in cases:
-        res, ref = solve_both_ways(monkeypatch, bg_fppc, coef, p_max=0.2,
-                                   record_probes=True, **PRODUCTION)
+        res, ref = solve_both_ways(coef, p_max=0.2, record_probes=True,
+                                   **PRODUCTION)
         assert_same_solve(res, ref)
         first = fixed_point_min_power(coef, res.probes[0][0], 0.2, 1e-3, 20)
         assert not res.probes[0][1] and np.isinf(first.p).all()
         first_sweeps.append(first.iterations)
     assert first_sweeps[0] == 0 and 0 < first_sweeps[1] < 20
-    # an unserved UAV (a = d = 0) rejects every target until the midpoint
-    # underflows to 0, which a lone probe refuses
+    # an unserved UAV (a = d = 0) would reject every target; no power gives
+    # it a positive SINR, so every solver returns full power at once
     unserved = coef_of([0.0, 1.0], [0.0, 0.0], np.zeros((2, 2)), [0.1, 0.1])
-    for solve in (bg_fppc, oracle_bg_fppc):
-        with pytest.raises(ValueError, match="must be positive"):
-            solve(unserved, p_max=0.2, **PRODUCTION)
+    results = [solve(unserved, p_max=0.2, **PRODUCTION)
+               for solve in (bg_fppc, oracle_bg_fppc)]
+    results += [solve(unserved, p_max=0.2, tol=1e-4)
+                for solve in (reference_max_min, oracle_reference_max_min)]
+    for res in results:
+        assert res.bisect_iterations + res.fp_iterations <= 1
+        np.testing.assert_array_equal(res.p_star, [0.2, 0.2])
+        assert res.gamma_star == 0.0
 
 
 def test_sinr_matches_oracle_bitwise():
