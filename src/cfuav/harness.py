@@ -130,9 +130,8 @@ def prepare_trial(config: ExperimentConfig, trial_index: int) -> TrialData:
     digest = hashlib.sha256()
     for h_t in h:
         digest.update(h_t.tobytes())
-    return TrialData(beta=ls.beta, stats=stats, assignment=assignment, h=h,
-                     est=est, sigma2=sigma2, moments_full=moments,
-                     channel_hash=digest.hexdigest()[:16])
+    return TrialData(beta=ls.beta, h=h, est=est, sigma2=sigma2,
+                     moments_full=moments, channel_hash=digest.hexdigest()[:16])
 
 
 def run_trial(config: ExperimentConfig, trial_index: int, schemes):
@@ -149,13 +148,13 @@ def run_trial(config: ExperimentConfig, trial_index: int, schemes):
         result = run_scheme(scheme, data, config)
         runtime = time.perf_counter() - t0
         results[scheme.label] = result
-        ao_iters = result.trace.count if scheme.uses_ao else 0
         records.append(MetricsRecord(
             trial=trial_index, scheme=scheme.label, num_uavs=config.num_uavs,
             min_se=min_se(result.se), success_rate=success_rate(result.se,
                                                                 config.se_min),
             jain_fairness=jain_fairness(result.se), runtime_s=runtime,
-            ao_iterations=ao_iters, fp_iterations_total=result.fp_iterations,
+            ao_iterations=result.trace.count,
+            fp_iterations_total=result.fp_iterations,
             channel_hash=data.channel_hash))
     return records, results
 

@@ -2,21 +2,23 @@
 
 Six schemes combine an association rule (BA: two-stage baseline, PA: the
 three-stage QoS-aware heuristic) with a power rule (FP: full power, PP: the
-bisection-guided fixed-point solver, TP: the exact-probe reference solver).
-Alternating optimization applies to PA+PP and PA+TP only; the other schemes
-compute association once at full power and optimize power at most once."""
+bisection-guided fixed-point solver, TP: the certified Perron-Frobenius
+balance iteration). Every scheme runs the same loop of rounds, each an
+association at the current powers followed by the power rule. Alternating
+optimization (AO) runs that round up to i_max_ao times for PA+PP and PA+TP;
+the other schemes run it once, from full power."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .association import baseline_association, propose_association
-from .pilots import EstimationResult, PilotAssignment
-from .powerctl import bg_fppc, full_power, reference_max_min
-from .propagation import ChannelStats
-from .receiver import (ChannelMoments, SeVector, assemble_coefficients,
-                       channel_moments, cpu_weights, sinr,
-                       spectral_efficiency)
+from .pilots import EstimationResult
+from .powerctl import (PowerControlResult, bg_fppc, full_power,
+                       reference_max_min)
+from .receiver import (ChannelMoments, SeVector, SinrCoefficients,
+                       assemble_coefficients, channel_moments, cpu_weights,
+                       sinr, spectral_efficiency)
 from .scenario import ExperimentConfig
 
 ASSOCIATION_RULES = ("BA", "PA")
@@ -60,8 +62,6 @@ class TrialData:
     pairs every scheme reuses."""
 
     beta: np.ndarray
-    stats: ChannelStats
-    assignment: PilotAssignment
     h: np.ndarray
     est: EstimationResult
     sigma2: float
@@ -85,8 +85,17 @@ def evaluate_association(moments: ChannelMoments, association: np.ndarray,
     return coef, spectral_efficiency(gam, config.pilot_len, config.coherence_len)
 
 
+def _full_power_rule(coef: SinrCoefficients,
+                     p_max: float) -> PowerControlResult:
+    """FP: full power, whose min SINR is gamma*, and no solver iterations."""
+    p = full_power(coef.num_uavs, p_max)
+    return PowerControlResult(p_star=p, gamma_star=float(np.min(sinr(coef, p))))
+
+
 def _make_solver(power_rule: str, config: ExperimentConfig):
     floor = config.qos_sinr_floor
+    if power_rule == "FP":
+        return lambda coef: _full_power_rule(coef, config.p_max_w)
     if power_rule == "PP":
         return lambda coef: bg_fppc(coef, config.p_max_w,
                                     eps_bisect=config.eps_bisect,
@@ -143,26 +152,30 @@ class SchemeResult:
     power_feasible: bool = True
 
 
-def alternating_optimize(trial: TrialData, power_solver,
-                         config: ExperimentConfig,
-                         scheme: SchemeId = SchemeId("PA", "PP")) -> SchemeResult:
-    """Alternate association (at the current powers) and max-min power control
-    until the min-SE objective stalls or the iteration cap is hit.
+def run_scheme(scheme: SchemeId, trial: TrialData,
+               config: ExperimentConfig) -> SchemeResult:
+    """Evaluate one benchmark scheme on prepared trial data.
 
-    The association stage is a heuristic, so the joint objective is not
-    guaranteed monotone across iterations; the best iterate seen is returned,
-    which makes the returned objective non-decreasing in the iteration count."""
+    A round associates at the current powers and applies the scheme's power
+    rule to the coefficients of that association; the first round starts at
+    full power. PA+PP and PA+TP alternate rounds until the min-SE objective
+    stalls or i_max_ao rounds have run; the other schemes run one round and
+    return an empty trace. The association stage is a heuristic, so the
+    objective is not guaranteed monotone across rounds; the best round seen
+    is returned, which makes the returned objective non-decreasing in the
+    round count."""
+    solve = _make_solver(scheme.power, config)
     p = full_power(trial.beta.shape[0], config.p_max_w)
     trace = AoTrace(terminated_by="max-iters")
     fp_total = 0
     bisect_total = 0
     prev_obj = None
-    for _ in range(config.i_max_ao):
+    for _ in range(config.i_max_ao if scheme.uses_ao else 1):
         moments = moments_at(trial, p)
         a = _associate(scheme.association, trial, moments, p, config)
         coef, _ = evaluate_association(moments, a, trial.beta, trial.sigma2,
                                        p, config)
-        res = power_solver(coef)
+        res = solve(coef)
         p_new = res.p_star
         gam = sinr(coef, p_new)
         sev = spectral_efficiency(gam, config.pilot_len, config.coherence_len)
@@ -180,35 +193,8 @@ def alternating_optimize(trial: TrialData, power_solver,
         p = p_new
     best = max(trace.iterations, key=lambda it: it.objective)
     return SchemeResult(scheme=scheme, association=best.association,
-                        power=best.power, se=best.se, trace=trace,
+                        power=best.power, se=best.se,
+                        trace=trace if scheme.uses_ao else AoTrace(),
                         gamma_star=best.gamma_star, fp_iterations=fp_total,
                         bisect_iterations=bisect_total,
                         power_feasible=best.feasible)
-
-
-def run_scheme(scheme: SchemeId, trial: TrialData,
-               config: ExperimentConfig) -> SchemeResult:
-    """Evaluate one benchmark scheme on prepared trial data."""
-    k = trial.beta.shape[0]
-    p_full = full_power(k, config.p_max_w)
-    if scheme.uses_ao:
-        return alternating_optimize(trial, _make_solver(scheme.power, config),
-                                    config, scheme=scheme)
-
-    moments = trial.moments_full
-    a = _associate(scheme.association, trial, moments, p_full, config)
-    coef, se_full = evaluate_association(moments, a, trial.beta, trial.sigma2,
-                                         p_full, config)
-    trace = AoTrace(terminated_by="")
-    if scheme.power == "FP":
-        return SchemeResult(scheme=scheme, association=a, power=p_full,
-                            se=se_full, trace=trace,
-                            gamma_star=float(np.min(se_full.sinr)))
-    res = _make_solver(scheme.power, config)(coef)
-    gam = sinr(coef, res.p_star)
-    sev = spectral_efficiency(gam, config.pilot_len, config.coherence_len)
-    return SchemeResult(scheme=scheme, association=a, power=res.p_star,
-                        se=sev, trace=trace, gamma_star=res.gamma_star,
-                        fp_iterations=res.fp_iterations,
-                        bisect_iterations=res.bisect_iterations,
-                        power_feasible=res.feasible)

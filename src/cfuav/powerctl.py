@@ -19,7 +19,7 @@ fixed point evaluates every midpoint of the next SUBTREE_DEPTH bisection
 levels, each the midpoint of its own bracket (7 targets at depth 3); the
 bisection then walks its accepted/rejected path down that subtree, and the
 answers off the path are discarded. A batched sweep is four calls for all
-rows and tests nothing: after a chunk of sweeps (CHUNKS) one vectorized pass
+rows and tests nothing: after a chunk of CHUNK sweeps one vectorized pass
 finds each row's first stop sweep, a bail before a converge, and stopped rows
 leave the batch. B p stays one matrix-vector product per row, because one
 matrix product over the stacked rows sums in another order. bg_fppc keeps
@@ -27,8 +27,6 @@ the operands and the order of every floating-point operation of the plain
 expressions, so its probe decisions, iteration counts and powers do not
 depend on these shortcuts."""
 
-import itertools
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -38,7 +36,7 @@ from .receiver import SinrCoefficients, sinr
 
 
 SUBTREE_DEPTH = 3  # bisection levels that one batched fixed point answers
-CHUNKS = (4, 16)   # sweeps between stop searches; the last length repeats
+CHUNK = 20         # sweeps between stop searches
 MAX_SWEEPS = 1000  # balance sweeps of reference_max_min before it gives up
 
 
@@ -80,7 +78,7 @@ def _fixed_points(coef: SinrCoefficients, gammas: np.ndarray, p_max: float,
 
     A sweep evaluates gamma (B p + c) / denom for all running rows in that
     order, in place, with B p as one matrix-vector product per row. The loop
-    keeps the iterates of a chunk of sweeps (CHUNKS) and tests none of them;
+    keeps the iterates of a chunk of CHUNK sweeps and tests none of them;
     after the chunk one vectorized pass finds each row's first stop sweep: a
     bail (an entry not <= the bail level, which also catches NaN) before a
     converge (every |step| < tol) of the same sweep. Stopped rows leave the
@@ -99,14 +97,12 @@ def _fixed_points(coef: SinrCoefficients, gammas: np.ndarray, p_max: float,
     # a NaN denominator is not <= 0: the row runs and bails at sweep 1
     live = np.flatnonzero(~(denom <= 0).any(axis=1))
     g, denom = g[live], denom[live]
-    xs = np.empty((max(CHUNKS) + 1, live.size, k))
+    xs = np.empty((CHUNK + 1, live.size, k))
     xs[0] = p_max
     n = 0
     with np.errstate(all="ignore"):
-        for length in itertools.chain(CHUNKS, itertools.repeat(CHUNKS[-1])):
-            if n == n_max_fp or live.size == 0:
-                break
-            length = min(length, n_max_fp - n)
+        while n < n_max_fp and live.size:
+            length = min(CHUNK, n_max_fp - n)
             for s in range(length):
                 new = xs[s + 1]
                 np.matmul(b, xs[s, :, :, None], out=new[:, :, None])
@@ -145,19 +141,17 @@ class PowerControlResult:
     fp_capped: int = 0           # probes or balance runs stopped at their cap
     bisect_iterations: int = 0
     feasible: bool = True
-    elapsed: float = 0.0
     work_ops: int = 0            # interference multiply-accumulates
     probe_gap_max: float = 0.0   # worst |gamma_mid - achieved| / gamma_mid
     probes: list = field(default_factory=list)  # (gamma_mid, feasible) if kept
 
 
 def _finish(result: PowerControlResult, coef: SinrCoefficients,
-            gamma_floor, t0: float) -> PowerControlResult:
+            gamma_floor) -> PowerControlResult:
     degenerate = not np.any(coef.a > 0)
     result.feasible = not degenerate
     if gamma_floor is not None and result.gamma_star < gamma_floor * (1 - 1e-12):
         result.feasible = False
-    result.elapsed = time.perf_counter() - t0
     return result
 
 
@@ -190,7 +184,6 @@ def bg_fppc(coef: SinrCoefficients, p_max: float, eps_bisect: float = 1e-4,
     down the subtree takes the answer of each midpoint on its path. The
     others are discarded and counted nowhere, so every counter, decision and
     bit equals that of the one-probe-at-a-time bisection."""
-    t0 = time.perf_counter()
     k = coef.num_uavs
     p_full = full_power(k, p_max)
     gamma_full = sinr(coef, p_full)
@@ -198,7 +191,7 @@ def bg_fppc(coef: SinrCoefficients, p_max: float, eps_bisect: float = 1e-4,
                              gamma_star=float(np.min(gamma_full)))
     g_lo, g_hi = 0.0, 1.5 * float(np.max(gamma_full))
     if g_hi <= 0 or not (coef.a > 0).all():
-        return _finish(res, coef, gamma_floor, t0)
+        return _finish(res, coef, gamma_floor)
     nodes = 2 ** SUBTREE_DEPTH - 1  # a walk past the last one starts anew
     node = nodes
     while (g_hi - g_lo) / g_hi > eps_bisect:
@@ -230,7 +223,7 @@ def bg_fppc(coef: SinrCoefficients, p_max: float, eps_bisect: float = 1e-4,
         else:
             g_hi = g_mid
         node = 2 * node + 1 + ok
-    return _finish(res, coef, gamma_floor, t0)
+    return _finish(res, coef, gamma_floor)
 
 
 def reference_max_min(coef: SinrCoefficients, p_max: float, tol: float = 1e-6,
@@ -248,13 +241,12 @@ def reference_max_min(coef: SinrCoefficients, p_max: float, tol: float = 1e-6,
     drive an entry to 0) counts in fp_capped and returns its last iterate.
     Either way the result is the better of full power and the last iterate
     clipped to the box; fp_iterations counts the evaluations of T."""
-    t0 = time.perf_counter()
     k = coef.num_uavs
     p_full = full_power(k, p_max)
     res = PowerControlResult(p_star=p_full.copy(),
                              gamma_star=float(np.min(sinr(coef, p_full))))
     if not (coef.a > 0).all():
-        return _finish(res, coef, gamma_floor, t0)
+        return _finish(res, coef, gamma_floor)
     m = coef.b + np.diag(coef.d)
     m /= coef.a[:, None]
     u = coef.c / coef.a
@@ -278,4 +270,4 @@ def reference_max_min(coef: SinrCoefficients, p_max: float, tol: float = 1e-6,
     achieved = float(np.min(sinr(coef, p)))
     if achieved > res.gamma_star:
         res.p_star, res.gamma_star = p, achieved
-    return _finish(res, coef, gamma_floor, t0)
+    return _finish(res, coef, gamma_floor)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from cfuav.association import baseline_association
 from cfuav.harness import prepare_trial
-from cfuav.orchestrator import (ALL_SCHEMES, SchemeId,
+from cfuav.orchestrator import (ALL_SCHEMES, SchemeId, _make_solver,
                                 evaluate_association, moments_at,
                                 parse_scheme, run_scheme)
 from cfuav.powerctl import bg_fppc, full_power
@@ -118,3 +118,33 @@ def test_run_scheme_reports_fp_accounting(trial, tight_config):
     assert pp.fp_iterations > 0 and pp.bisect_iterations > 0
     tp = run_scheme(SchemeId("BA", "TP"), trial, tight_config)
     assert tp.fp_iterations > 0 and tp.bisect_iterations == 0
+
+
+def test_every_scheme_shares_its_first_round(trial, tight_config):
+    # one loop runs every scheme: a one-round scheme is the first AO round
+    pa_fp = run_scheme(SchemeId("PA", "FP"), trial, tight_config)
+    full, pa_tp = (run_scheme(SchemeId("PA", power), trial, tight_config)
+                   for power in ("PP", "TP"))
+    for ao in (full, pa_tp):
+        np.testing.assert_array_equal(pa_fp.association,
+                                      ao.trace.iterations[0].association)
+    # the first round starts at full power: PP's first step solves the
+    # full-power coefficients of the association FP keeps
+    p_full = full_power(4, tight_config.p_max_w)
+    coef, _ = evaluate_association(moments_at(trial, p_full), pa_fp.association,
+                                   trial.beta, trial.sigma2, p_full,
+                                   tight_config)
+    fp = _make_solver("FP", tight_config)(coef)
+    np.testing.assert_array_equal(fp.p_star, p_full)
+    assert fp.gamma_star == pa_fp.gamma_star == np.min(pa_fp.se.sinr)
+    assert (fp.fp_iterations, fp.bisect_iterations) == (0, 0)
+    np.testing.assert_array_equal(_make_solver("PP", tight_config)(coef).p_star,
+                                  full.trace.iterations[0].power)
+    once = run_scheme(SchemeId("PA", "PP"), trial,
+                      replace(tight_config, i_max_ao=1))
+    np.testing.assert_array_equal(once.se.se, full.trace.iterations[0].se.se)
+    assert (once.trace.count, once.trace.terminated_by) == (1, "max-iters")
+    for scheme in ALL_SCHEMES:
+        if not scheme.uses_ao:
+            res = run_scheme(scheme, trial, tight_config)
+            assert (res.trace.count, res.trace.terminated_by) == (0, "")

@@ -1,5 +1,4 @@
 import importlib.util
-import itertools
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -235,7 +234,7 @@ def test_work_counter_tracks_inner_iterations():
     coef = make_coefficients(r, 10)
     res = bg_fppc(coef, p_max=0.2)
     assert res.work_ops == res.fp_iterations * 100
-    assert res.fp_iterations > 0 and res.elapsed >= 0.0
+    assert res.fp_iterations > 0
 
 
 # --------------------------------------------------------------- reference
@@ -620,12 +619,7 @@ def test_fixed_point_matches_oracle_on_edge_inputs():
 
 def chunk_of(sweep):
     """Index of the chunk of the batched fixed point that holds a sweep."""
-    end = 0
-    for i, length in enumerate(itertools.chain(
-            powerctl.CHUNKS, itertools.repeat(powerctl.CHUNKS[-1]))):
-        end += length
-        if sweep <= end:
-            return i
+    return (sweep - 1) // powerctl.CHUNK
 
 
 def batched_rows(coef, gammas, p_max, eps_fp, n_max_fp):
