@@ -4,7 +4,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .harness import dump_links, run_monte_carlo, write_results
+from .harness import dump_links, run_monte_carlo, sibling_path, write_results
 from .orchestrator import ALL_SCHEMES, parse_scheme
 from .scenario import ExperimentConfig, desk_scale, load_config
 
@@ -67,9 +67,8 @@ def main(argv=None) -> int:
         failed = 0
         for cfg_k in configs:
             if args.dump_links:
-                stem, dot, ext = args.out.rpartition(".")
-                base = stem if dot else args.out
-                dump_links(cfg_k, 0, f"{base}_links_K{cfg_k.num_uavs}.csv")
+                dump_links(cfg_k, 0, sibling_path(
+                    args.out, f"links_K{cfg_k.num_uavs}", ".csv"))
             got, failed_trials = run_monte_carlo(cfg_k, schemes,
                                                  n_jobs=args.jobs)
             records.extend(got)

@@ -8,6 +8,7 @@ purpose) stream, so results are bit-identical at any level of parallelism."""
 import csv
 import hashlib
 import logging
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -15,14 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import baseline_association
-from .orchestrator import ALL_SCHEMES, SchemeId, TrialData, run_scheme
+from .orchestrator import ALL_SCHEMES, TrialData, run_scheme
 from .pilots import assign_pilots_random, simulate_pilot_and_estimate
 from .propagation import (channel_stats, draw_angular_spread, draw_channels,
                           large_scale, link_geometry, los_probability,
                           sample_los_state, spatial_correlation,
                           steering_vector)
 from .receiver import channel_moments
-from .scenario import ExperimentConfig, StreamKey, build_topology, trial_streams
+from .scenario import ExperimentConfig, build_topology, trial_streams
 from .powerctl import full_power
 
 log = logging.getLogger(__name__)
@@ -85,13 +86,11 @@ def min_se(se) -> float:
     return float(np.min(x))
 
 
-def large_scale_state(config: ExperimentConfig, trial_index: int, streams):
+def large_scale_state(config: ExperimentConfig, streams):
     """One trial's link geometry and large-scale state (path loss, LoS,
     shadowing, Rician K), drawn from its topology, los-state, shadowing and
     rician-k streams. Returns (geometry, large-scale links)."""
-    topo = build_topology(config, StreamKey(config.master_seed, trial_index,
-                                            "topology"))
-    geom = link_geometry(topo)
+    geom = link_geometry(build_topology(config, streams["topology"]))
     is_los = sample_los_state(los_probability(geom), streams["los-state"])
     ls = large_scale(geom, is_los, config, streams["shadowing"],
                      streams["rician-k"])
@@ -105,7 +104,7 @@ def prepare_trial(config: ExperimentConfig, trial_index: int) -> TrialData:
     (stages 1-2, which read beta only and start every scheme), so that shared
     work stays outside each scheme's timer."""
     streams = trial_streams(config, trial_index)
-    geom, ls = large_scale_state(config, trial_index, streams)
+    geom, ls = large_scale_state(config, streams)
     n_ant = config.antennas_per_oru
     offset = config.array_azimuth_offset_deg
     a_los = steering_vector(geom, n_ant, offset)
@@ -160,9 +159,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, schemes):
 
 
 def _worker(args):
-    config, trial_index, labels = args
-    schemes = [SchemeId(*label.split("+")) for label in labels]
-    records, _ = run_trial(config, trial_index, schemes)
+    records, _ = run_trial(*args)
     return records
 
 
@@ -171,10 +168,8 @@ def run_monte_carlo(config: ExperimentConfig, schemes=None,
     """Run all trials of one configuration. Returns (records, failed): the
     metric records sorted by (trial, scheme), and the indices of the trials
     that raised, which are logged and contribute no record."""
-    if schemes is None:
-        schemes = list(ALL_SCHEMES)
-    labels = [s.label for s in schemes]
-    tasks = [(config, t, labels) for t in range(config.trials)]
+    schemes = tuple(ALL_SCHEMES if schemes is None else schemes)
+    tasks = [(config, t, schemes) for t in range(config.trials)]
     records = []
     failed = []
     if n_jobs <= 1:
@@ -221,6 +216,14 @@ def aggregate_records(records) -> list:
     return rows
 
 
+def sibling_path(path, tag: str, ext: str | None = None) -> str:
+    """The file <stem>_<tag><ext> beside path: os.path.splitext gives <stem>
+    and path's own extension, which ext replaces if given. A dot in a
+    directory name is no extension: runs.v2/results gives runs.v2/results_<tag>."""
+    stem, own_ext = os.path.splitext(str(path))
+    return f"{stem}_{tag}{own_ext if ext is None else ext}"
+
+
 def write_results(records, path) -> tuple:
     """Write the per-trial CSV plus a per-(scheme, K) aggregate CSV next to
     it. Returns (path, aggregate_path)."""
@@ -234,8 +237,7 @@ def write_results(records, path) -> tuple:
                                  _fmt(r.success_rate), _fmt(r.jain_fairness),
                                  _fmt(r.runtime_s), r.ao_iterations,
                                  r.fp_iterations_total, r.channel_hash])
-        stem, dot, ext = path.rpartition(".")
-        agg_path = f"{stem}_aggregate.{ext}" if dot else f"{path}_aggregate"
+        agg_path = sibling_path(path, "aggregate")
         agg_rows = aggregate_records(records)
         header = ["scheme", "K", "n_trials"]
         for col in _METRIC_COLUMNS:
@@ -274,8 +276,7 @@ def read_results(path) -> list:
 def dump_links(config: ExperimentConfig, trial_index: int, path) -> str:
     """Debug dump of per-link large-scale state for one trial; the state is
     the one prepare_trial builds for the same (config, trial)."""
-    _, ls = large_scale_state(config, trial_index,
-                              trial_streams(config, trial_index))
+    _, ls = large_scale_state(config, trial_streams(config, trial_index))
     path = str(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -1,8 +1,9 @@
 """Benchmark schemes and the alternating association/power optimization loop.
 
 Six schemes combine an association rule (BA: two-stage baseline, PA: the
-three-stage QoS-aware heuristic) with a power rule (FP: full power, PP: the
-bisection-guided fixed-point solver, TP: the certified Perron-Frobenius
+three-stage QoS-aware heuristic) with a power rule (FP: full power, as
+powerctl.full_power_result, the start both solvers share; PP: the
+bisection-guided fixed-point solver; TP: the certified Perron-Frobenius
 balance iteration). Every scheme runs the same loop of rounds, each an
 association at the current powers followed by the power rule. Alternating
 optimization (AO) runs that round up to i_max_ao times for PA+PP and PA+TP;
@@ -14,11 +15,11 @@ import numpy as np
 
 from .association import baseline_association, propose_association
 from .pilots import EstimationResult
-from .powerctl import (PowerControlResult, bg_fppc, full_power,
+from .powerctl import (bg_fppc, full_power, full_power_result,
                        reference_max_min)
-from .receiver import (ChannelMoments, SeVector, SinrCoefficients,
-                       assemble_coefficients, channel_moments, cpu_weights,
-                       sinr, spectral_efficiency)
+from .receiver import (ChannelMoments, SeVector, assemble_coefficients,
+                       channel_moments, cpu_weights, sinr,
+                       spectral_efficiency)
 from .scenario import ExperimentConfig
 
 ASSOCIATION_RULES = ("BA", "PA")
@@ -85,17 +86,10 @@ def evaluate_association(moments: ChannelMoments, association: np.ndarray,
     return coef, spectral_efficiency(gam, config.pilot_len, config.coherence_len)
 
 
-def _full_power_rule(coef: SinrCoefficients,
-                     p_max: float) -> PowerControlResult:
-    """FP: full power, whose min SINR is gamma*, and no solver iterations."""
-    p = full_power(coef.num_uavs, p_max)
-    return PowerControlResult(p_star=p, gamma_star=float(np.min(sinr(coef, p))))
-
-
 def _make_solver(power_rule: str, config: ExperimentConfig):
     floor = config.qos_sinr_floor
     if power_rule == "FP":
-        return lambda coef: _full_power_rule(coef, config.p_max_w)
+        return lambda coef: full_power_result(coef, config.p_max_w)
     if power_rule == "PP":
         return lambda coef: bg_fppc(coef, config.p_max_w,
                                     eps_bisect=config.eps_bisect,
@@ -126,7 +120,6 @@ class AoIteration:
     power: np.ndarray
     gamma_star: float
     se: SeVector
-    feasible: bool = True
 
 
 @dataclass
@@ -149,7 +142,6 @@ class SchemeResult:
     gamma_star: float
     fp_iterations: int = 0
     bisect_iterations: int = 0
-    power_feasible: bool = True
 
 
 def run_scheme(scheme: SchemeId, trial: TrialData,
@@ -182,8 +174,7 @@ def run_scheme(scheme: SchemeId, trial: TrialData,
         obj = float(np.min(sev.se))
         trace.iterations.append(AoIteration(objective=obj, association=a,
                                             power=p_new.copy(),
-                                            gamma_star=res.gamma_star, se=sev,
-                                            feasible=res.feasible))
+                                            gamma_star=res.gamma_star, se=sev))
         fp_total += res.fp_iterations
         bisect_total += res.bisect_iterations
         if prev_obj is not None and obj - prev_obj < config.eps_ao:
@@ -196,5 +187,4 @@ def run_scheme(scheme: SchemeId, trial: TrialData,
                         power=best.power, se=best.se,
                         trace=trace if scheme.uses_ao else AoTrace(),
                         gamma_star=best.gamma_star, fp_iterations=fp_total,
-                        bisect_iterations=bisect_total,
-                        power_feasible=best.feasible)
+                        bisect_iterations=bisect_total)

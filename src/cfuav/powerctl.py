@@ -9,9 +9,11 @@ Two solvers over the same coefficient form:
   by a certificate of its distance to the optimum. Used as the optimality
   reference for the interior-point-style solver it replaces.
 
-Both start from full power and never return a worse minimum than
-full-power transmission. A UAV with a_k <= 0 is unserved: no power vector
-gives it a positive SINR, so both return the full-power result at once.
+full_power_result is full-power transmission as a solve: p = p_max 1,
+gamma* = min SINR there, no iterations. It is the FP power rule, and both
+solvers start from it, so neither returns a worse minimum than full power.
+A UAV with a_k <= 0 is unserved: no power vector gives it a positive SINR,
+so both return that start at once.
 
 The vectors are short (K UAVs), so a probe's cost is per-call overhead, not
 arithmetic. bg_fppc therefore answers its probes in batches. One batched
@@ -146,6 +148,13 @@ class PowerControlResult:
     probes: list = field(default_factory=list)  # (gamma_mid, feasible) if kept
 
 
+def full_power_result(coef: SinrCoefficients,
+                      p_max: float) -> PowerControlResult:
+    """Full power, its min SINR as gamma*, and every counter at 0."""
+    p = full_power(coef.num_uavs, p_max)
+    return PowerControlResult(p_star=p, gamma_star=float(np.min(sinr(coef, p))))
+
+
 def _finish(result: PowerControlResult, coef: SinrCoefficients,
             gamma_floor) -> PowerControlResult:
     degenerate = not np.any(coef.a > 0)
@@ -185,11 +194,9 @@ def bg_fppc(coef: SinrCoefficients, p_max: float, eps_bisect: float = 1e-4,
     others are discarded and counted nowhere, so every counter, decision and
     bit equals that of the one-probe-at-a-time bisection."""
     k = coef.num_uavs
-    p_full = full_power(k, p_max)
-    gamma_full = sinr(coef, p_full)
-    res = PowerControlResult(p_star=p_full.copy(),
-                             gamma_star=float(np.min(gamma_full)))
-    g_lo, g_hi = 0.0, 1.5 * float(np.max(gamma_full))
+    res = full_power_result(coef, p_max)
+    p_full = res.p_star
+    g_lo, g_hi = 0.0, 1.5 * float(np.max(sinr(coef, p_full)))
     if g_hi <= 0 or not (coef.a > 0).all():
         return _finish(res, coef, gamma_floor)
     nodes = 2 ** SUBTREE_DEPTH - 1  # a walk past the last one starts anew
@@ -242,16 +249,14 @@ def reference_max_min(coef: SinrCoefficients, p_max: float, tol: float = 1e-6,
     Either way the result is the better of full power and the last iterate
     clipped to the box; fp_iterations counts the evaluations of T."""
     k = coef.num_uavs
-    p_full = full_power(k, p_max)
-    res = PowerControlResult(p_star=p_full.copy(),
-                             gamma_star=float(np.min(sinr(coef, p_full))))
+    res = full_power_result(coef, p_max)
     if not (coef.a > 0).all():
         return _finish(res, coef, gamma_floor)
     m = coef.b + np.diag(coef.d)
     m /= coef.a[:, None]
     u = coef.c / coef.a
     bound = 1.0 + tol
-    p = p_full
+    p = res.p_star
     # T_k(p) = 0 (no noise, no interference into k) gives Gamma_k = inf or
     # NaN, which fails the certificate without a warning
     with np.errstate(divide="ignore", invalid="ignore"):

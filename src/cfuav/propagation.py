@@ -201,12 +201,12 @@ def channel_stats(ls: LargeScaleLink, a_los: np.ndarray,
                         corr=corr, los_steering=a_los)
 
 
-def covariance_sqrt(cov: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def covariance_sqrt(cov: np.ndarray) -> np.ndarray:
     """Hermitian square root of a stack of PSD matrices; rejects matrices with
-    eigenvalues below -tol (relative to the largest)."""
+    eigenvalues below -1e-10 times the largest."""
     w, u = np.linalg.eigh(cov)
     scale = np.maximum(np.max(w, axis=-1, keepdims=True), 1e-300)
-    if np.any(w < -tol * scale):
+    if np.any(w < -1e-10 * scale):
         raise ValueError("covariance matrix is not positive semidefinite")
     s = np.sqrt(np.clip(w, 0.0, None))
     return np.einsum("...im,...m,...jm->...ij", u, s, np.conj(u))

@@ -48,16 +48,11 @@ _CHUNK = 32  # realizations per accumulation block; fixed so sums are ordered
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class CpuWeights:
-    """CPU fusion weights alpha = A * sqrt(beta), zero for unassociated pairs."""
-
-    alpha: np.ndarray  # (K, L)
-
-
-def cpu_weights(association: np.ndarray, beta: np.ndarray) -> CpuWeights:
+def cpu_weights(association: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """CPU fusion weights alpha (K, L) = A * sqrt(beta), zero for
+    unassociated pairs."""
     a = np.asarray(association)
-    return CpuWeights(alpha=a * np.sqrt(np.asarray(beta, dtype=float)))
+    return a * np.sqrt(np.asarray(beta, dtype=float))
 
 
 def _abs2(x: np.ndarray) -> np.ndarray:
@@ -148,7 +143,6 @@ class _GramFactor:
     h: np.ndarray
     h_hat: np.ndarray
     c: list
-    chunk: int
 
     def reduce(self, orus: np.ndarray, rows: np.ndarray) -> tuple:
         """Sums over all T realizations for the combiners of UAV rows[a, j]
@@ -160,7 +154,7 @@ class _GramFactor:
         (N^2 t x K) f(h)."""
         l_num, n, t_num, k_num = self.h.shape
         l_sel, r = rows.shape
-        step = t_num if l_sel <= 2 else self.chunk
+        step = t_num if l_sel <= 2 else _CHUNK
         # flat offsets of (orus[a], antenna, realization 0, rows[a, j]),
         # in the order (antenna, j, a)
         first = (orus * n + np.arange(n)[:, None, None]) * t_num * k_num
@@ -230,10 +224,10 @@ class ChannelMoments:
 
 
 def channel_moments(h: np.ndarray, est: EstimationResult, powers,
-                    sigma2: float, chunk: int = _CHUNK) -> ChannelMoments:
+                    sigma2: float) -> ChannelMoments:
     """L-MMSE combiner moments of the ensemble h (T, K, L, N) for one power
     vector, with no pair filled yet. The Gram matrix of every (l, t) is
-    factored here, once, block by block over the slices [:, :, t0:t0 + chunk]
+    factored here, once, block by block over the slices [:, :, t0:t0 + _CHUNK]
     of the solver layout of h_hat; ChannelMoments.fill then solves and
     reduces only the (k, l) pairs it is asked for. Every fill runs in fixed
     realization order, so its sums do not depend on caller parallelism."""
@@ -243,8 +237,8 @@ def channel_moments(h: np.ndarray, est: EstimationResult, powers,
     h_hat = solver_layout(est.h_hat)
     c = [[np.empty((l_num, t_num), dtype=float if m == i else complex)
           for m in range(i + 1)] for i in range(n)]
-    for t0 in range(0, t_num, chunk):
-        block = slice(t0, t0 + chunk)
+    for t0 in range(0, t_num, _CHUNK):
+        block = slice(t0, t0 + _CHUNK)
         for row, block_row in zip(c, _gram_cholesky(h_hat[:, :, block], base,
                                                     powers)):
             for x, xb in zip(row, block_row):
@@ -254,7 +248,7 @@ def channel_moments(h: np.ndarray, est: EstimationResult, powers,
         g2=np.zeros((k_num, k_num, l_num)), gn=np.zeros((k_num, l_num)),
         n_samples=t_num, power=powers.copy(),
         filled=np.zeros((k_num, l_num), dtype=bool),
-        factor=_GramFactor(solver_layout(h), h_hat, c, chunk))
+        factor=_GramFactor(solver_layout(h), h_hat, c))
 
 
 @dataclass(frozen=True)
@@ -275,12 +269,12 @@ class SinrCoefficients:
         return self.a.shape[0]
 
 
-def assemble_coefficients(moments: ChannelMoments, weights: CpuWeights,
+def assemble_coefficients(moments: ChannelMoments, alpha: np.ndarray,
                           sigma2: float) -> SinrCoefficients:
-    """Gate and fuse the moments with the CPU weights. Association enters only
-    through the zeros of alpha: the moments of the served pairs (alpha != 0)
-    are filled on demand, and the unserved ones are never read."""
-    alpha = weights.alpha
+    """Gate and fuse the moments with the CPU weights alpha (K, L), as
+    cpu_weights builds them. Association enters only through the zeros of
+    alpha: the moments of the served pairs (alpha != 0) are filled on demand,
+    and the unserved ones are never read."""
     served = alpha != 0
     moments.fill(served)
     alpha2 = alpha ** 2

@@ -166,14 +166,11 @@ class Topology:
         return self.uav_positions.shape[0]
 
 
-def build_topology(config: ExperimentConfig, key: StreamKey) -> Topology:
-    """Drop O-RUs and UAVs uniformly over the coverage square; O-RUs sit at
-    the configured mast height, UAV altitudes are uniform over their range."""
-    if key.purpose != "topology":
-        raise ValueError("build_topology needs a 'topology' stream key")
-    if config.area_side_m <= 0 or config.num_orus < 1 or config.num_uavs < 1:
-        raise ValueError("invalid scenario dimensions")
-    rng = derive_stream(key)
+def build_topology(config: ExperimentConfig,
+                   rng: np.random.Generator) -> Topology:
+    """Drop O-RUs and UAVs uniformly over the coverage square, drawing from
+    rng (a trial's "topology" stream); O-RUs sit at the configured mast
+    height, UAV altitudes are uniform over their range."""
     side = config.area_side_m
     oru_xy = rng.uniform(0.0, side, size=(config.num_orus, 2))
     oru_z = np.full((config.num_orus, 1), config.oru_height_m)
@@ -200,10 +197,9 @@ def _parse_value(name: str, raw: str):
     return float(raw)
 
 
-def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     """Read a flat key=value config file. Unknown keys are an error; unset
     keys keep their defaults. '#' starts a comment."""
-    cfg = base if base is not None else ExperimentConfig()
     known = {f.name for f in fields(ExperimentConfig)}
     overrides = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -218,4 +214,4 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             overrides[key] = _parse_value(key, value)
-    return replace(cfg, **overrides)
+    return ExperimentConfig(**overrides)

@@ -36,6 +36,20 @@ def test_dump_links_flag(tmp_path):
     assert (tmp_path / "r_links_K3.csv").exists()
 
 
+def test_outputs_stay_in_a_dotted_directory(tmp_path):
+    # a dot in a directory name is no extension: every sibling file lands
+    # next to --out, and an --out without extension keeps none
+    runs = tmp_path / "runs.v2"
+    runs.mkdir()
+    code = main(["--desk-scale", "--trials", "1", "--uavs", "3",
+                 "--schemes", "BA+FP", "--out", str(runs / "results"),
+                 "--dump-links"])
+    assert code == 0
+    assert sorted(p.name for p in runs.iterdir()) == [
+        "results", "results_aggregate", "results_links_K3.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.v2"]
+
+
 def test_bad_scheme_fails_with_reason(tmp_path, capsys):
     code = main(["--schemes", "ZZ+Q", "--out", str(tmp_path / "x.csv")])
     assert code == 1

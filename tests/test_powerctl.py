@@ -9,10 +9,10 @@ import pytest
 from cfuav import powerctl
 from cfuav.association import baseline_association
 from cfuav.harness import prepare_trial
-from cfuav.orchestrator import evaluate_association
+from cfuav.orchestrator import _make_solver, evaluate_association
 from cfuav.powerctl import (FixedPointResult, PowerControlResult, bg_fppc,
                             fixed_point_min_power, full_power,
-                            reference_max_min)
+                            full_power_result, reference_max_min)
 from cfuav.receiver import SinrCoefficients, sinr
 from cfuav.scenario import ExperimentConfig, desk_scale
 from tests.conftest import make_coefficients
@@ -52,6 +52,32 @@ def test_full_power():
     np.testing.assert_array_equal(full_power(3, 0.2), [0.2, 0.2, 0.2])
     assert full_power(5, 0.1).shape == (5,)
     np.testing.assert_array_equal(full_power(3, 0.2), full_power(3, 0.2))
+
+
+def assert_same_result(res, expected):
+    assert res.p_star.tobytes() == expected.p_star.tobytes()
+    assert res.gamma_star == expected.gamma_star
+    for name in ("fp_iterations", "fp_capped", "bisect_iterations",
+                 "work_ops", "probe_gap_max", "probes"):
+        assert getattr(res, name) == getattr(expected, name), name
+
+
+def test_fp_rule_and_unserved_returns_are_full_power_result():
+    config = ExperimentConfig()
+    coef = make_coefficients(rng(31), 5)
+    fp = full_power_result(coef, config.p_max_w)
+    np.testing.assert_array_equal(fp.p_star, full_power(5, config.p_max_w))
+    assert fp.gamma_star == float(np.min(sinr(coef, fp.p_star)))
+    assert (fp.fp_iterations, fp.bisect_iterations, fp.work_ops) == (0, 0, 0)
+    assert_same_result(_make_solver("FP", config)(coef), fp)
+    # UAV 2 is unserved (a = 0): both solvers return their full-power start
+    a = coef.a.copy()
+    a[2] = 0.0
+    unserved = replace(coef, a=a)
+    expected = full_power_result(unserved, 0.2)
+    assert expected.gamma_star == 0.0
+    assert_same_result(bg_fppc(unserved, p_max=0.2), expected)
+    assert_same_result(reference_max_min(unserved, p_max=0.2), expected)
 
 
 # ------------------------------------------------------------- fixed point

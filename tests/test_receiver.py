@@ -50,9 +50,9 @@ def solved_combiners(est, powers, sigma2):
     return v.transpose(2, 3, 0, 1)
 
 
-def filled_moments(h, est, powers, sigma2, **kw):
+def filled_moments(h, est, powers, sigma2):
     """channel_moments with every (k, l) pair filled."""
-    m = channel_moments(h, est, powers, sigma2, **kw)
+    m = channel_moments(h, est, powers, sigma2)
     m.fill(np.ones(m.g1.shape, dtype=bool))
     return m
 
@@ -84,9 +84,9 @@ def test_lmmse_matched_filter_limit():
 def test_cpu_weights():
     beta = np.array([[4.0, 1.0], [9.0, 16.0]])
     a = np.array([[1, 0], [1, 1]])
-    w = cpu_weights(a, beta).alpha
+    w = cpu_weights(a, beta)
     np.testing.assert_allclose(w, [[2.0, 0.0], [3.0, 4.0]])
-    assert not cpu_weights(np.zeros_like(a), beta).alpha.any()
+    assert not cpu_weights(np.zeros_like(a), beta).any()
 
 
 # ------------------------------------------------------------ coefficients
@@ -283,12 +283,10 @@ def test_moment_chunking_is_order_stable():
     h = r.standard_normal((t, k, l, n)) + 1j * r.standard_normal((t, k, l, n))
     est = est_from(h, np.broadcast_to(0.01 * np.eye(n), (k, l, n, n)).copy())
     p = np.full(k, 0.2)
-    m1 = filled_moments(h, est, p, 0.1, chunk=32)
-    m2 = filled_moments(h, est, p, 0.1, chunk=32)
+    m1 = filled_moments(h, est, p, 0.1)
+    m2 = filled_moments(h, est, p, 0.1)
     np.testing.assert_array_equal(m1.g1, m2.g1)
     np.testing.assert_array_equal(m1.g2, m2.g2)
-    m3 = filled_moments(h, est, p, 0.1, chunk=7)
-    np.testing.assert_allclose(m1.g2, m3.g2, rtol=1e-12)
 
 
 def test_monte_carlo_convergence_of_moments():
@@ -380,13 +378,13 @@ def kernel_case(n, k, t=45, l=3, seed=0):
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
-@pytest.mark.parametrize("k, chunk", [(1, 32), (3, 32), (3, 7)],
-                         ids=["1", "3", "3-chunk7"])
-def test_channel_moments_match_oracle(n, k, chunk):
-    # T = 45 is a multiple of neither the default 32-realization block nor 7
+@pytest.mark.parametrize("k", [1, 3])
+def test_channel_moments_match_oracle(n, k):
+    # T = 45 is no multiple of the 32-realization block: the last block
+    # holds 13 realizations
     h, est, p = kernel_case(n, k, seed=10 * n + k)
     sigma2 = 0.2
-    m = filled_moments(h, est, p, sigma2, chunk=chunk)
+    m = filled_moments(h, est, p, sigma2)
     assert_moments_close(m, *oracle_moments(h, oracle_combiners(est, p, sigma2)))
     np.testing.assert_array_equal(m.power, p)
     assert m.n_samples == 45

@@ -66,7 +66,7 @@ def _key(purpose, trial=0, seed=7):
 
 def test_topology_inside_square():
     cfg = ExperimentConfig(num_orus=100, num_uavs=50)
-    topo = build_topology(cfg, _key("topology"))
+    topo = build_topology(cfg, derive_stream(_key("topology")))
     assert topo.oru_positions.shape == (100, 3)
     assert topo.uav_positions.shape == (50, 3)
     for xy in (topo.oru_positions[:, :2], topo.uav_positions[:, :2]):
@@ -76,22 +76,17 @@ def test_topology_inside_square():
 
 def test_topology_altitude_range():
     cfg = ExperimentConfig(uav_alt_range=(50.0, 150.0), num_uavs=200)
-    topo = build_topology(cfg, _key("topology"))
+    topo = build_topology(cfg, derive_stream(_key("topology")))
     alt = topo.uav_positions[:, 2]
     assert np.all(alt >= 50.0) and np.all(alt <= 150.0)
 
 
 def test_topology_deterministic():
     cfg = ExperimentConfig(num_uavs=10, num_orus=10)
-    t1 = build_topology(cfg, _key("topology"))
-    t2 = build_topology(cfg, _key("topology"))
+    t1 = build_topology(cfg, derive_stream(_key("topology")))
+    t2 = build_topology(cfg, derive_stream(_key("topology")))
     np.testing.assert_array_equal(t1.oru_positions, t2.oru_positions)
     np.testing.assert_array_equal(t1.uav_positions, t2.uav_positions)
-
-
-def test_topology_needs_topology_stream():
-    with pytest.raises(ValueError):
-        build_topology(ExperimentConfig(), _key("shadowing"))
 
 
 def test_stream_determinism_and_distinctness():
@@ -124,7 +119,7 @@ def test_trial_streams_cover_all_purposes():
 
 def test_x_coordinates_uniform_ks():
     cfg = ExperimentConfig(num_uavs=10_000, num_orus=1)
-    topo = build_topology(cfg, _key("topology", seed=123))
+    topo = build_topology(cfg, derive_stream(_key("topology", seed=123)))
     x = topo.uav_positions[:, 0] / cfg.area_side_m
     assert scistats.kstest(x, "uniform").pvalue > 0.01
 
