@@ -71,10 +71,12 @@ class TrialData:
 
 
 def moments_at(trial: TrialData, p: np.ndarray) -> ChannelMoments:
-    """Combiner moments for a power vector, reusing the full-power cache."""
+    """Combiner moments for a power vector, reusing the full-power cache and
+    the trial's f(h), which the full-power moments built."""
     if np.array_equal(p, trial.moments_full.power):
         return trial.moments_full
-    return channel_moments(trial.h, trial.est, p, trial.sigma2)
+    return channel_moments(trial.h, trial.est, p, trial.sigma2,
+                           trial.moments_full.factor.features)
 
 
 def evaluate_association(moments: ChannelMoments, association: np.ndarray,

@@ -22,19 +22,18 @@ The trial's h and h_hat are stored in the solver layout (L, N, T, K) from
 the draw on (see propagation.solver_layout). Per (l, t) the Gram matrix
 G = sum_k p_k (h_hat_k h_hat_k^H + C_err_k) + sigma^2 I is Hermitian positive
 definite, and is factored as G = C C^H by a Cholesky factorization written
-entrywise over whole (l, t) arrays, looping in Python over the N antennas
-only, block by block over the slices [:, :, t0:t1]. A fill gathers the
-requested rows of h_hat and h for the O-RUs with new pairs into
-(N, r, L', t) blocks, r the largest count of new rows at one O-RU (others
-padded), and forward and back substitution give their combiners v. It runs
-over all T in one pass when it touches one or two O-RUs (one pair added by
-association stage 3) and block by block otherwise. The second moment uses
-the real feature map f(x) in R^(N^2) made of |x_a|^2 and sqrt2 Re /
-sqrt2 Im of x_a conj(x_b) for a < b, for which |v^H h|^2 = f(v) . f(h). The
-sum over a block of E[|v_kl^H h_il|^2] is thus one real GEMM per O-RU,
-(r x N^2 t) by (N^2 t x K), and the cross-term tensor is never formed.
-Filled pairs are memoized: a pair keeps its bits for the life of the
-object, whatever is filled after it."""
+entrywise over whole (L, T) arrays, looping in Python over the N antennas
+only. A fill gathers the requested rows of h_hat and h for the O-RUs with
+new pairs into (N, r, L', T) blocks, r the largest count of new rows at one
+O-RU (others padded), and forward and back substitution give their
+combiners v, all T realizations in one pass. The second moment uses the real
+feature map f(x) in R^(N^2) made of |x_a|^2 and sqrt2 Re / sqrt2 Im of
+x_a conj(x_b) for a < b, for which |v^H h|^2 = f(v) . f(h). The sum of
+E[|v_kl^H h_il|^2] is thus one real GEMM per O-RU, (r x N^2 T) by
+(N^2 T x K), and the cross-term tensor is never formed. f(h) depends on the
+trial only: the trial's full-power channel_moments call builds it, and the
+calls at other powers read that array. Filled pairs are memoized: a pair
+keeps its bits for the life of the object, whatever is filled after it."""
 
 import math
 from dataclasses import dataclass, field
@@ -44,7 +43,6 @@ import numpy as np
 from .pilots import EstimationResult
 from .propagation import solver_layout
 
-_CHUNK = 32  # realizations per accumulation block; fixed so sums are ordered
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -70,9 +68,9 @@ def _base_gram(est: EstimationResult, powers: np.ndarray,
 def _gram_cholesky(h_hat: np.ndarray, base: np.ndarray,
                    powers: np.ndarray) -> list:
     """Lower Cholesky factor C of G = base + sum_k p_k h_hat_k h_hat_k^H for
-    every (l, t) of a solver-layout block h_hat (L, N, t, K). Row i holds the
-    entries C[i][j], j <= i, each an (L, t) array; C[i][i] is real. The sums
-    over k are matrix-vector products with p. base >= sigma^2 I makes G
+    every (l, t) of a solver-layout ensemble h_hat (L, N, T, K). Row i holds
+    the entries C[i][j], j <= i, each an (L, T) array; C[i][i] is real. The
+    sums over k are matrix-vector products with p. base >= sigma^2 I makes G
     positive definite, so every pivot C[j][j]^2 >= sigma^2 and no pivoting
     is needed."""
     n = h_hat.shape[1]
@@ -93,11 +91,11 @@ def _gram_cholesky(h_hat: np.ndarray, base: np.ndarray,
 
 
 def _substitute(c: list, v: np.ndarray) -> np.ndarray:
-    """Overwrite v (N, r, L, t) with G^{-1} v for every (l, t) and right-hand
+    """Overwrite v (N, r, L, T) with G^{-1} v for every (l, t) and right-hand
     side, by forward and back substitution through the Cholesky factor c of
-    G (entries (L, t), as _gram_cholesky returns them). Python loops run over
-    the N antennas only; each entrywise pass is one contiguous (r, L, t)
-    array against an (L, t) factor entry."""
+    G (entries (L, T), as _gram_cholesky returns them). Python loops run over
+    the N antennas only; each entrywise pass is one contiguous (r, L, T)
+    array against an (L, T) factor entry."""
     n = v.shape[0]
     # complex with a zero imaginary part: the same products as the real
     # reciprocal, without a mixed-type ufunc loop
@@ -134,48 +132,46 @@ def _features(x: np.ndarray, axis: int = 0) -> np.ndarray:
     return f
 
 
+def _channel_features(h: np.ndarray) -> np.ndarray:
+    """f(h) of a trial's solver-layout ensemble h (L, N, T, K), laid out
+    (L, N^2 T, K) as the g2 GEMM of every fill reads it. It depends on the
+    trial only, so each trial builds it once: L N^2 T K 8 bytes (3.2 MB at
+    desk scale with K = 20, 128 MB at the paper default)."""
+    l_num, n, t_num, k_num = h.shape
+    return _features(h, 1).reshape(l_num, n * n * t_num, k_num)
+
+
 @dataclass(frozen=True)
 class _GramFactor:
     """What a moment fill reads: the solver layouts (L, N, T, K) of h and
-    h_hat, and the Cholesky factor c of every (l, t) Gram matrix, entry
-    c[i][m] (m <= i) an (L, T) array."""
+    h_hat, the trial's f(h) (L, N^2 T, K), and the Cholesky factor c of
+    every (l, t) Gram matrix, entry c[i][m] (m <= i) an (L, T) array."""
 
     h: np.ndarray
     h_hat: np.ndarray
+    features: np.ndarray
     c: list
 
     def reduce(self, orus: np.ndarray, rows: np.ndarray) -> tuple:
         """Sums over all T realizations for the combiners of UAV rows[a, j]
         at O-RU orus[a]: s1 (L', r) of v^H h, s2 (L', r, K) of |v^H h_i|^2
-        for every UAV i, and sn (L', r) of ||v||^2. The rows of h and h_hat
-        are gathered as (N, r, L', t) blocks. A fill of one or two O-RUs runs
-        over all T in one pass; a larger one runs block by block. Each
-        block's g2 sum is one real GEMM per O-RU, (r x N^2 t) f(v) times
-        (N^2 t x K) f(h)."""
-        l_num, n, t_num, k_num = self.h.shape
+        for every UAV i, and sn (L', r) of ||v||^2, in one pass. The rows of
+        h and h_hat are gathered as (N, r, L', T) blocks, and the g2 sum is
+        one real GEMM per O-RU, (r x N^2 T) f(v) times the trial's
+        (N^2 T x K) f(h)."""
         l_sel, r = rows.shape
-        step = t_num if l_sel <= 2 else _CHUNK
-        # flat offsets of (orus[a], antenna, realization 0, rows[a, j]),
-        # in the order (antenna, j, a)
-        first = (orus * n + np.arange(n)[:, None, None]) * t_num * k_num
-        first = np.ascontiguousarray(first + rows.T)[..., None]
-        oru_sel = slice(None) if l_sel == l_num else orus   # a view if all
-        s1 = np.zeros((r, l_sel), dtype=complex)
-        s2 = np.zeros((l_sel, r, k_num))
-        sn = np.zeros((r, l_sel))
-        for t0 in range(0, t_num, step):
-            block = slice(t0, t0 + step)
-            idx = first + np.arange(t0, min(t0 + step, t_num)) * k_num
-            h_rows = np.take(self.h, idx)
-            v = _substitute([[x[orus, block] for x in row] for row in self.c],
-                            np.take(self.h_hat, idx))
-            fv = _features(v)
-            s1 += np.einsum("nrlt,nrlt->rl", np.conj(v), h_rows)
-            sn += fv[:n].sum(axis=(0, 3))
-            fv = np.ascontiguousarray(fv.transpose(2, 1, 0, 3))
-            s2 += np.matmul(fv.reshape(l_sel, r, -1),
-                            _features(self.h[oru_sel, :, block], 1)
-                            .reshape(l_sel, -1, k_num))
+        n, k_num = self.h.shape[1], self.h.shape[3]
+        # x[pick][i, j, a] is x[orus[a], i, :, rows[a, j]], shape (N, r, L', T)
+        pick = (orus, np.arange(n)[:, None, None], slice(None), rows.T)
+        v = _substitute([[x[orus] for x in row] for row in self.c],
+                        self.h_hat[pick])
+        fv = _features(v)
+        s1 = np.einsum("nrlt,nrlt->rl", np.conj(v), self.h[pick])
+        sn = fv[:n].sum(axis=(0, 3))
+        fv = np.ascontiguousarray(fv.transpose(2, 1, 0, 3))
+        s2 = np.empty((l_sel, r, k_num))
+        for a, l in enumerate(orus):
+            np.matmul(fv[a].reshape(r, -1), self.features[l], out=s2[a])
         return s1.T, s2, sn.T
 
 
@@ -224,31 +220,29 @@ class ChannelMoments:
 
 
 def channel_moments(h: np.ndarray, est: EstimationResult, powers,
-                    sigma2: float) -> ChannelMoments:
+                    sigma2: float, features: np.ndarray = None
+                    ) -> ChannelMoments:
     """L-MMSE combiner moments of the ensemble h (T, K, L, N) for one power
     vector, with no pair filled yet. The Gram matrix of every (l, t) is
-    factored here, once, block by block over the slices [:, :, t0:t0 + _CHUNK]
-    of the solver layout of h_hat; ChannelMoments.fill then solves and
-    reduces only the (k, l) pairs it is asked for. Every fill runs in fixed
-    realization order, so its sums do not depend on caller parallelism."""
+    factored here, once, over all T in one pass over the solver layout of
+    h_hat; ChannelMoments.fill then solves and reduces only the (k, l) pairs
+    it is asked for. features is the trial's f(h) as an earlier call on the
+    same h built it (factor.features); without it f(h) is built here. Every
+    fill runs in fixed realization order, so its sums do not depend on
+    caller parallelism."""
     powers = np.asarray(powers, dtype=float)
-    base = _base_gram(est, powers, sigma2)
-    t_num, k_num, l_num, n = h.shape
+    t_num, k_num, l_num, _ = h.shape
+    h = solver_layout(h)
     h_hat = solver_layout(est.h_hat)
-    c = [[np.empty((l_num, t_num), dtype=float if m == i else complex)
-          for m in range(i + 1)] for i in range(n)]
-    for t0 in range(0, t_num, _CHUNK):
-        block = slice(t0, t0 + _CHUNK)
-        for row, block_row in zip(c, _gram_cholesky(h_hat[:, :, block], base,
-                                                    powers)):
-            for x, xb in zip(row, block_row):
-                x[:, block] = xb
+    if features is None:
+        features = _channel_features(h)
+    c = _gram_cholesky(h_hat, _base_gram(est, powers, sigma2), powers)
     return ChannelMoments(
         g1=np.zeros((k_num, l_num), dtype=complex),
         g2=np.zeros((k_num, k_num, l_num)), gn=np.zeros((k_num, l_num)),
         n_samples=t_num, power=powers.copy(),
         filled=np.zeros((k_num, l_num), dtype=bool),
-        factor=_GramFactor(solver_layout(h), h_hat, c))
+        factor=_GramFactor(h, h_hat, features, c))
 
 
 @dataclass(frozen=True)

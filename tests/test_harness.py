@@ -135,6 +135,24 @@ def test_prepare_trial_prefills_baseline_association(monkeypatch):
     np.testing.assert_array_equal(data.moments_full.filled, a != 0)
 
 
+def test_run_trial_builds_features_once(monkeypatch):
+    # every moment call of a trial, AO powers included, reads one f(h)
+    from cfuav import receiver
+
+    calls = []
+
+    def counted(h):
+        calls.append(h.shape)
+        return build(h)
+
+    build = receiver._channel_features
+    monkeypatch.setattr(receiver, "_channel_features", counted)
+    cfg = desk_scale(num_uavs=10, master_seed=2026)
+    _, results = run_trial(cfg, 0, ALL_SCHEMES)
+    assert any(r.trace.count > 1 for r in results.values())
+    assert len(calls) == 1
+
+
 # ------------------------------------------------------------- monte carlo
 
 def _strip_runtime(records):

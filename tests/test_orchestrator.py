@@ -94,6 +94,17 @@ def test_ao_single_uav_stops_after_two_iterations(tight_config):
     assert it1.objective == pytest.approx(it2.objective, rel=1e-12)
 
 
+def test_moments_at_reads_the_trials_features(trial, tight_config):
+    # f(h) depends on the trial only: moments at another power read the
+    # array the full-power moments built in prepare_trial
+    p = np.linspace(0.2, 1.0, 4) * tight_config.p_max_w
+    m = moments_at(trial, p)
+    assert m is not trial.moments_full
+    np.testing.assert_array_equal(m.power, p)
+    assert np.shares_memory(m.factor.features,
+                            trial.moments_full.factor.features)
+
+
 def test_ao_power_step_locally_optimal(tight_config, trial):
     res = run_scheme(SchemeId("PA", "PP"), trial, tight_config)
     moments = moments_at(trial, res.trace.iterations[-1].power)

@@ -277,7 +277,7 @@ def test_mr_combining_matches_closed_form_coefficients():
                 assert coef.b[k, i] == pytest.approx(expected_b, rel=0.08)
 
 
-def test_moment_chunking_is_order_stable():
+def test_filled_moments_are_bit_reproducible():
     r = rng(7)
     t, k, l, n = 70, 2, 2, 2
     h = r.standard_normal((t, k, l, n)) + 1j * r.standard_normal((t, k, l, n))
@@ -380,8 +380,6 @@ def kernel_case(n, k, t=45, l=3, seed=0):
 @pytest.mark.parametrize("n", [1, 2, 4])
 @pytest.mark.parametrize("k", [1, 3])
 def test_channel_moments_match_oracle(n, k):
-    # T = 45 is no multiple of the 32-realization block: the last block
-    # holds 13 realizations
     h, est, p = kernel_case(n, k, seed=10 * n + k)
     sigma2 = 0.2
     m = filled_moments(h, est, p, sigma2)
@@ -445,8 +443,8 @@ def assert_filled_pairs_match(m, dense, mask):
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_memoized_fills_match_dense_oracle(n):
-    # L = 5 O-RUs: a fill of three or more runs block by block, a fill of one
-    # or two in one pass; T = 45 is not a multiple of the block
+    # L = 5 O-RUs: fills of one pair, of some O-RUs and of all of them;
+    # T = 45 is not a multiple of the oracle's block
     k, l = 6, 5
     h, est, p = kernel_case(n, k, l=l, seed=60 + n)
     sigma2 = 0.2
