@@ -21,12 +21,11 @@ from .propagation import (ChannelStats, complex_normal_layout, link_affine,
 
 @dataclass(frozen=True)
 class PilotAssignment:
-    """Which pilot each UAV uses, plus the shared-pilot sets derived from it."""
+    """Which pilot each UAV uses, and at what power."""
 
     pilot_of: np.ndarray      # (K,) pilot index in [0, tau_p)
     tau_p: int
     pilot_power: np.ndarray   # (K,) watts
-    share_sets: tuple         # share_sets[k] = indices of UAVs on k's pilot
 
     @property
     def num_uavs(self) -> int:
@@ -41,10 +40,8 @@ def make_assignment(pilot_of, tau_p: int, pilot_power) -> PilotAssignment:
         raise ValueError("pilot index out of range")
     power = np.broadcast_to(np.asarray(pilot_power, dtype=float),
                             pilot_of.shape).copy()
-    share = tuple(tuple(np.flatnonzero(pilot_of == pilot_of[k]))
-                  for k in range(pilot_of.shape[0]))
     return PilotAssignment(pilot_of=pilot_of, tau_p=int(tau_p),
-                           pilot_power=power, share_sets=share)
+                           pilot_power=power)
 
 
 def assign_pilots_random(num_uavs: int, tau_p: int,

@@ -23,17 +23,17 @@ the draw on (see propagation.solver_layout). Per (l, t) the Gram matrix
 G = sum_k p_k (h_hat_k h_hat_k^H + C_err_k) + sigma^2 I is Hermitian positive
 definite, and is factored as G = C C^H by a Cholesky factorization written
 entrywise over whole (L, T) arrays, looping in Python over the N antennas
-only. A fill gathers the requested rows of h_hat and h for the O-RUs with
-new pairs into (N, r, L', T) blocks, r the largest count of new rows at one
-O-RU (others padded), and forward and back substitution give their
-combiners v, all T realizations in one pass. The second moment uses the real
-feature map f(x) in R^(N^2) made of |x_a|^2 and sqrt2 Re / sqrt2 Im of
-x_a conj(x_b) for a < b, for which |v^H h|^2 = f(v) . f(h). The sum of
-E[|v_kl^H h_il|^2] is thus one real GEMM per O-RU, (r x N^2 T) by
-(N^2 T x K), and the cross-term tensor is never formed. f(h) depends on the
-trial only: the trial's full-power channel_moments call builds it, and the
-calls at other powers read that array. Filled pairs are memoized: a pair
-keeps its bits for the life of the object, whatever is filled after it."""
+only. A fill lists its P new (k, l) pairs by O-RU, then by UAV, gathers
+their rows of h_hat and h into (N, P, T) blocks, and forward and back
+substitution give their combiners v, all T realizations in one pass. The
+second moment uses the real feature map f(x) in R^(N^2) made of |x_a|^2 and
+sqrt2 Re / sqrt2 Im of x_a conj(x_b) for a < b, for which
+|v^H h|^2 = f(v) . f(h). The sum of E[|v_kl^H h_il|^2] is thus one real GEMM
+per O-RU over its run of P_l pairs, (P_l x N^2 T) by (N^2 T x K), and the
+cross-term tensor is never formed. f(h) depends on the trial only: the
+trial's full-power channel_moments call builds it, and the calls at other
+powers read that array. Filled pairs are memoized: a pair keeps its bits for
+the life of the object, whatever is filled after it."""
 
 import math
 from dataclasses import dataclass, field
@@ -91,11 +91,13 @@ def _gram_cholesky(h_hat: np.ndarray, base: np.ndarray,
 
 
 def _substitute(c: list, v: np.ndarray) -> np.ndarray:
-    """Overwrite v (N, r, L, T) with G^{-1} v for every (l, t) and right-hand
-    side, by forward and back substitution through the Cholesky factor c of
-    G (entries (L, T), as _gram_cholesky returns them). Python loops run over
-    the N antennas only; each entrywise pass is one contiguous (r, L, T)
-    array against an (L, T) factor entry."""
+    """Overwrite v (N, P, T) with G^{-1} v for every pair p and realization
+    t, by forward and back substitution through the Cholesky factor c of
+    each pair's Gram matrices (entries (P, T), the O-RU rows of the (L, T)
+    entries _gram_cholesky returns). Python loops run over the N antennas
+    only; each entrywise pass is one contiguous (P, T) array against a
+    (P, T) factor entry. Any v whose trailing axes broadcast against the
+    entries is solved the same way."""
     n = v.shape[0]
     # complex with a zero imaginary part: the same products as the real
     # reciprocal, without a mixed-type ufunc loop
@@ -152,27 +154,27 @@ class _GramFactor:
     features: np.ndarray
     c: list
 
-    def reduce(self, orus: np.ndarray, rows: np.ndarray) -> tuple:
-        """Sums over all T realizations for the combiners of UAV rows[a, j]
-        at O-RU orus[a]: s1 (L', r) of v^H h, s2 (L', r, K) of |v^H h_i|^2
-        for every UAV i, and sn (L', r) of ||v||^2, in one pass. The rows of
-        h and h_hat are gathered as (N, r, L', T) blocks, and the g2 sum is
-        one real GEMM per O-RU, (r x N^2 T) f(v) times the trial's
-        (N^2 T x K) f(h)."""
-        l_sel, r = rows.shape
-        n, k_num = self.h.shape[1], self.h.shape[3]
-        # x[pick][i, j, a] is x[orus[a], i, :, rows[a, j]], shape (N, r, L', T)
-        pick = (orus, np.arange(n)[:, None, None], slice(None), rows.T)
-        v = _substitute([[x[orus] for x in row] for row in self.c],
+    def reduce(self, ks: np.ndarray, ls: np.ndarray) -> tuple:
+        """Sums over all T realizations for the combiner of UAV ks[p] at
+        O-RU ls[p], the P pairs sorted by O-RU: s1 (P,) of v^H h, s2 (P, K)
+        of |v^H h_i|^2 for every UAV i, and sn (P,) of ||v||^2, in one pass.
+        The pairs' rows of h and h_hat are gathered as (N, P, T) blocks, and
+        the g2 sum is one real GEMM per O-RU over its run of P_l pairs,
+        (P_l x N^2 T) f(v) times the trial's (N^2 T x K) f(h)."""
+        n = self.h.shape[1]
+        # x[pick][i, p] is x[ls[p], i, :, ks[p]], shape (N, P, T)
+        pick = (ls, np.arange(n)[:, None], slice(None), ks)
+        v = _substitute([[x[ls] for x in row] for row in self.c],
                         self.h_hat[pick])
         fv = _features(v)
-        s1 = np.einsum("nrlt,nrlt->rl", np.conj(v), self.h[pick])
-        sn = fv[:n].sum(axis=(0, 3))
-        fv = np.ascontiguousarray(fv.transpose(2, 1, 0, 3))
-        s2 = np.empty((l_sel, r, k_num))
-        for a, l in enumerate(orus):
-            np.matmul(fv[a].reshape(r, -1), self.features[l], out=s2[a])
-        return s1.T, s2, sn.T
+        s1 = np.einsum("npt,npt->p", np.conj(v), self.h[pick])
+        sn = fv[:n].sum(axis=(0, 2))
+        fv = np.ascontiguousarray(fv.transpose(1, 0, 2)).reshape(ls.size, -1)
+        s2 = np.empty((ls.size, self.h.shape[3]))
+        orus, starts = np.unique(ls, return_index=True)
+        for l, a, b in zip(orus, starts, [*starts[1:], ls.size]):
+            np.matmul(fv[a:b], self.features[l], out=s2[a:b])
+        return s1, s2, sn
 
 
 @dataclass(eq=False)
@@ -198,24 +200,16 @@ class ChannelMoments:
     def fill(self, mask) -> None:
         """Compute and memoize the moments of every (k, l) pair where mask is
         true. Filled pairs keep their values, so a pair reads the same bits
-        for the life of the object. The new rows of each O-RU are gathered,
-        padded with other rows to the largest count; padding is discarded."""
-        new = np.asarray(mask, dtype=bool) & ~self.filled
-        orus = np.flatnonzero(new.any(axis=0))
-        if orus.size == 0:
+        for the life of the object. Only the new pairs are reduced, listed
+        by O-RU, then by UAV."""
+        ls, ks = np.nonzero((np.asarray(mask, dtype=bool) & ~self.filled).T)
+        if ls.size == 0:
             return
-        new = new[:, orus].T                    # (L', K)
-        counts = new.sum(axis=1)
-        r = int(counts.max())
-        # each O-RU's new rows first, in index order, then padding rows
-        rows = np.argsort(~new, axis=1, kind="stable")[:, :r]
-        at, slot = np.nonzero(np.arange(r) < counts[:, None])
-        s1, s2, sn = self.factor.reduce(orus, rows)
-        ks, ls = rows[at, slot], orus[at]
+        s1, s2, sn = self.factor.reduce(ks, ls)
         t_num = self.n_samples
-        self.g1[ks, ls] = s1[at, slot] / t_num
-        self.g2[ks, :, ls] = s2[at, slot] / t_num
-        self.gn[ks, ls] = sn[at, slot] / t_num
+        self.g1[ks, ls] = s1 / t_num
+        self.g2[ks, :, ls] = s2 / t_num
+        self.gn[ks, ls] = sn / t_num
         self.filled[ks, ls] = True
 
 
@@ -256,7 +250,6 @@ class SinrCoefficients:
     b: np.ndarray             # (K, K)
     c: np.ndarray             # (K,)
     clamp_count: int
-    built_at_power: np.ndarray
 
     @property
     def num_uavs(self) -> int:
@@ -280,8 +273,7 @@ def assemble_coefficients(moments: ChannelMoments, alpha: np.ndarray,
     b = np.einsum("kl,kil->ki", alpha2, moments.g2)
     np.fill_diagonal(b, 0.0)
     c = sigma2 * np.einsum("kl,kl->k", alpha2, moments.gn)
-    return SinrCoefficients(a=a, d=d, b=b, c=c, clamp_count=clamp_count,
-                            built_at_power=moments.power.copy())
+    return SinrCoefficients(a=a, d=d, b=b, c=c, clamp_count=clamp_count)
 
 
 def sinr(coef: SinrCoefficients, p) -> np.ndarray:

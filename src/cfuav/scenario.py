@@ -60,8 +60,6 @@ class ExperimentConfig:
     master_seed: int = 1
 
     def __post_init__(self):
-        if self.area_side_m <= 0:
-            raise ValueError("area_side_m must be positive")
         for name in ("num_orus", "antennas_per_oru", "num_uavs", "coherence_len",
                      "pilot_len", "n_top", "i_max_ao", "n_max_fp",
                      "n_channel_realizations", "trials"):
@@ -76,13 +74,21 @@ class ExperimentConfig:
                 f"({UMA_AV_MIN_HEIGHT}, {UMA_AV_MAX_HEIGHT}] m")
         if not math.isfinite(self.p_max_dbm):
             raise ValueError("p_max_dbm must be finite")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be positive")
-        if self.oru_height_m <= 0:
-            raise ValueError("oru_height_m must be positive")
-        for name in ("eps_ao", "eps_bisect", "eps_fp"):
-            if getattr(self, name) <= 0:
+        for name in ("area_side_m", "oru_height_m", "carrier_freq_ghz",
+                     "bandwidth_hz", "eps_ao", "eps_bisect", "eps_fp"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not self.se_min >= 0:
+            raise ValueError("se_min must be non-negative")
+        lo, hi = self.rician_k_range_db
+        if not lo <= hi:
+            raise ValueError("rician_k_range_db must be (low, high) with "
+                             "low <= high")
+        lo, hi = self.angular_spread_deg_range
+        if not (0 <= lo <= self.angular_spread_deg_mean <= hi and lo < hi):
+            raise ValueError(
+                "angular spread needs 0 <= low <= angular_spread_deg_mean "
+                "<= high with low < high")
 
     @property
     def p_max_w(self) -> float:

@@ -14,8 +14,7 @@ def make_coefficients(rng, num_uavs, interference=0.3, self_term=0.05):
     b *= a[:, None]
     np.fill_diagonal(b, 0.0)
     c = rng.uniform(0.05, 0.2, num_uavs)
-    return SinrCoefficients(a=a, d=d, b=b, c=c, clamp_count=0,
-                            built_at_power=np.full(num_uavs, np.nan))
+    return SinrCoefficients(a=a, d=d, b=b, c=c, clamp_count=0)
 
 
 @pytest.fixture

@@ -95,6 +95,27 @@ def test_bad_uav_count_fails_before_any_trial(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_unworkable_config_fails_before_any_trial(tmp_path, capsys,
+                                                  monkeypatch):
+    # a negative SE floor cannot work: it fails at load, before any trial
+    calls = []
+
+    def count_run(config, schemes, n_jobs=1):
+        calls.append(config.num_uavs)
+        return [], []
+
+    monkeypatch.setattr(cli, "run_monte_carlo", count_run)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("se_min = -1\n")
+    out = tmp_path / "x.csv"
+    code = main(["--config", str(cfg), "--desk-scale", "--trials", "2",
+                 "--uavs", "3", "--out", str(out)])
+    assert code == 1
+    assert "se_min must be non-negative" in capsys.readouterr().err
+    assert len(calls) == 0
+    assert not out.exists()
+
+
 def test_failed_trial_still_writes_csv_and_exits_one(tmp_path, capsys,
                                                     monkeypatch):
     run_trial = harness.run_trial

@@ -45,7 +45,6 @@ def random_stats(r, k=2, n=2, scale=1e-10, mean_scale=None, l=1):
 
 def test_assignment_single_uav():
     a = assign_pilots_random(1, 5, rng(), 0.2)
-    assert a.share_sets[0] == (0,)
     assert 0 <= a.pilot_of[0] < 5
 
 
@@ -53,16 +52,6 @@ def test_assignment_deterministic():
     a1 = assign_pilots_random(20, 10, rng(3), 0.2)
     a2 = assign_pilots_random(20, 10, rng(3), 0.2)
     np.testing.assert_array_equal(a1.pilot_of, a2.pilot_of)
-
-
-def test_assignment_share_sets_consistent():
-    a = assign_pilots_random(30, 5, rng(4), 0.2)
-    for k in range(30):
-        assert k in a.share_sets[k]
-        for i in a.share_sets[k]:
-            assert a.pilot_of[i] == a.pilot_of[k]
-    # K > tau_p forces at least one collision
-    assert max(len(s) for s in a.share_sets) > 1
 
 
 def test_assignment_collision_probability():
@@ -89,7 +78,7 @@ def psi_matrix(k, l, assignment, stats, sigma2):
     n = stats.scatter_cov.shape[-1]
     tau = assignment.tau_p
     psi = tau * sigma2 * np.eye(n, dtype=complex)
-    for i in assignment.share_sets[k]:
+    for i in np.flatnonzero(assignment.pilot_of == assignment.pilot_of[k]):
         psi = psi + tau ** 2 * assignment.pilot_power[i] * stats.scatter_cov[i, l]
     return psi
 

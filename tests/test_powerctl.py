@@ -38,7 +38,7 @@ def coef_of(a, d, b, c):
     a = np.asarray(a, float)
     return SinrCoefficients(a=a, d=np.asarray(d, float),
                             b=np.asarray(b, float), c=np.asarray(c, float),
-                            clamp_count=0, built_at_power=np.ones(a.size))
+                            clamp_count=0)
 
 
 def direct_solve(coef, gamma):

@@ -216,7 +216,6 @@ def test_coefficients_nonnegative_and_tagged():
     assert np.all(coef.a >= 0) and np.all(coef.d >= 0)
     assert np.all(coef.b >= 0) and np.all(coef.c > 0)
     assert np.all(np.diag(coef.b) == 0)
-    np.testing.assert_array_equal(coef.built_at_power, p)
 
 
 def test_estimate_sinr_coefficients_matches_fused_path():
@@ -465,6 +464,34 @@ def test_memoized_fills_match_dense_oracle(n):
         assert_filled_pairs_match(m, dense, mask)
 
 
+def test_fill_reduces_exactly_its_new_pairs(monkeypatch):
+    # O-RU 1 gets 4 new pairs, O-RUs 3 and 4 one each, and a memoized pair
+    # of O-RU 3 is asked for again: reduce sees the 6 new pairs, by O-RU,
+    # then by UAV, and no padding rows
+    h, est, p = kernel_case(2, 6, l=5, seed=81)
+    sigma2 = 0.2
+    m = channel_moments(h, est, p, sigma2)
+    mask = np.zeros((6, 5), dtype=bool)
+    mask[2, 3] = True
+    m.fill(mask)
+    calls = []
+    reduce = receiver._GramFactor.reduce
+
+    def recorded(self, *args):
+        calls.append([np.array(a) for a in args])
+        return reduce(self, *args)
+
+    monkeypatch.setattr(receiver._GramFactor, "reduce", recorded)
+    mask[[0, 2, 3, 5], 1] = True
+    mask[1, 3] = mask[4, 4] = True
+    m.fill(mask)
+    assert len(calls) == 1
+    ks, ls = calls[0]
+    np.testing.assert_array_equal(ks, [0, 2, 3, 5, 1, 4])
+    np.testing.assert_array_equal(ls, [1, 1, 1, 1, 3, 4])
+    assert_filled_pairs_match(m, dense_block_moments(h, est, p, sigma2), mask)
+
+
 def test_fill_keeps_memoized_values():
     # a pair reads the same bits for the life of the object, whatever later
     # fills compute around it
@@ -531,7 +558,7 @@ def coef_of(a, d, b, c):
     a = np.asarray(a, float)
     return __import__("cfuav.receiver", fromlist=["SinrCoefficients"]).SinrCoefficients(
         a=a, d=np.asarray(d, float), b=np.asarray(b, float),
-        c=np.asarray(c, float), clamp_count=0, built_at_power=np.ones(a.size))
+        c=np.asarray(c, float), clamp_count=0)
 
 
 def test_sinr_zero_power():

@@ -47,6 +47,12 @@ def test_derived_powers():
     dict(trials=0),
     dict(uav_alt_range=(10.0, 20.0)),    # below the UMa-AV band
     dict(uav_alt_range=(22.5, 100.0)),   # the band's lower edge is open
+    dict(se_min=-0.5),
+    dict(carrier_freq_ghz=0.0),          # the path loss takes its log10
+    dict(rician_k_range_db=(20.0, 0.0)),
+    dict(angular_spread_deg_mean=20.0),  # the triangular mode must lie in range
+    dict(angular_spread_deg_range=(-5.0, 15.0)),
+    dict(angular_spread_deg_range=(8.0, 8.0), angular_spread_deg_mean=8.0),
 ])
 def test_config_invariants_rejected(bad):
     with pytest.raises(ValueError):
