@@ -3,7 +3,9 @@
 Three stages build the association matrix A (K x L, binary): every UAV first
 grabs its strongest O-RU, idle O-RU capacity is then handed to the strongest
 nearby UAVs, and finally UAVs still missing their SE target greedily add
-serving O-RUs. The baseline variant stops after the second stage.
+serving O-RUs. The baseline (BA) is the first two stages, which read beta
+only; the proposed association (PA) is stage 3 run from a BA start, which the
+caller builds once and may refine at several power vectors.
 
 Constraints enforced throughout: every row sums to >= 1 (each UAV served) and
 every column sums to <= tau_p (pilot-limited O-RU capacity). Ties are broken
@@ -102,13 +104,11 @@ def stage3_qos_refinement(a: np.ndarray, beta: np.ndarray, tau_p: int,
     return a
 
 
-def propose_association(beta: np.ndarray, tau_p: int, se_min: float,
-                        n_top: int, evaluate_se) -> np.ndarray:
-    """Full three-stage association; the result satisfies the connectivity and
-    capacity constraints or stage 1 raises."""
-    a = stage1_uav_centric(beta, tau_p)
-    a = stage2_oru_centric(a, beta, tau_p, n_top)
-    a = stage3_qos_refinement(a, beta, tau_p, se_min, evaluate_se)
+def propose_association(start: np.ndarray, beta: np.ndarray, tau_p: int,
+                        se_min: float, evaluate_se) -> np.ndarray:
+    """Stage 3 from a baseline start; the result satisfies the connectivity
+    and capacity constraints or validation raises."""
+    a = stage3_qos_refinement(start, beta, tau_p, se_min, evaluate_se)
     validate_association(a, tau_p)
     return a
 

@@ -11,7 +11,7 @@ import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -27,10 +27,6 @@ from .scenario import ExperimentConfig, build_topology, trial_streams
 from .powerctl import full_power
 
 log = logging.getLogger(__name__)
-
-CSV_COLUMNS = ("trial", "scheme", "K", "min_se", "success_rate",
-               "jain_fairness", "runtime_s", "ao_iterations",
-               "fp_iterations_total", "channel_hash")
 
 _METRIC_COLUMNS = ("min_se", "success_rate", "jain_fairness", "runtime_s",
                    "ao_iterations", "fp_iterations_total")
@@ -50,6 +46,11 @@ class MetricsRecord:
     ao_iterations: int
     fp_iterations_total: int
     channel_hash: str
+
+
+# the per-trial CSV holds one column per MetricsRecord field, in field order
+CSV_COLUMNS = tuple("K" if f.name == "num_uavs" else f.name
+                    for f in fields(MetricsRecord))
 
 
 def _se_array(se) -> np.ndarray:
@@ -194,6 +195,8 @@ def run_monte_carlo(config: ExperimentConfig, schemes=None,
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{value:.9g}"
@@ -233,10 +236,7 @@ def write_results(records, path) -> tuple:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for r in records:
-                writer.writerow([r.trial, r.scheme, r.num_uavs, _fmt(r.min_se),
-                                 _fmt(r.success_rate), _fmt(r.jain_fairness),
-                                 _fmt(r.runtime_s), r.ao_iterations,
-                                 r.fp_iterations_total, r.channel_hash])
+                writer.writerow([_fmt(v) for v in astuple(r)])
         agg_path = sibling_path(path, "aggregate")
         agg_rows = aggregate_records(records)
         header = ["scheme", "K", "n_trials"]
@@ -261,15 +261,9 @@ def read_results(path) -> list:
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise ValueError(f"unexpected results header in {path!r}")
         for row in reader:
-            records.append(MetricsRecord(
-                trial=int(row["trial"]), scheme=row["scheme"],
-                num_uavs=int(row["K"]), min_se=float(row["min_se"]),
-                success_rate=float(row["success_rate"]),
-                jain_fairness=float(row["jain_fairness"]),
-                runtime_s=float(row["runtime_s"]),
-                ao_iterations=int(row["ao_iterations"]),
-                fp_iterations_total=int(row["fp_iterations_total"]),
-                channel_hash=row["channel_hash"]))
+            records.append(MetricsRecord(*(
+                f.type(row[col])
+                for f, col in zip(fields(MetricsRecord), CSV_COLUMNS))))
     return records
 
 

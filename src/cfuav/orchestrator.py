@@ -1,13 +1,13 @@
 """Benchmark schemes and the alternating association/power optimization loop.
 
-Six schemes combine an association rule (BA: two-stage baseline, PA: the
-three-stage QoS-aware heuristic) with a power rule (FP: full power, as
-powerctl.full_power_result, the start both solvers share; PP: the
-bisection-guided fixed-point solver; TP: the certified Perron-Frobenius
-balance iteration). Every scheme runs the same loop of rounds, each an
-association at the current powers followed by the power rule. Alternating
-optimization (AO) runs that round up to i_max_ao times for PA+PP and PA+TP;
-the other schemes run it once, from full power."""
+Six schemes combine an association rule (BA: the two-stage baseline, PA:
+QoS-aware stage 3 over a BA start that each scheme builds once) with a power
+rule (FP: full power, as powerctl.full_power_result, the start both solvers
+share; PP: the bisection-guided fixed-point solver; TP: the certified
+Perron-Frobenius balance iteration). Every scheme runs the same loop of
+rounds, each an association at the current powers followed by the power
+rule. Alternating optimization (AO) runs that round up to i_max_ao times for
+PA+PP and PA+TP; the other schemes run it once, from full power."""
 
 from dataclasses import dataclass, field
 
@@ -105,16 +105,6 @@ def _make_solver(power_rule: str, config: ExperimentConfig):
     raise ValueError(f"no solver for power rule {power_rule!r}")
 
 
-def _associate(rule: str, trial: TrialData, moments: ChannelMoments,
-               p: np.ndarray, config: ExperimentConfig) -> np.ndarray:
-    if rule == "BA":
-        return baseline_association(trial.beta, config.pilot_len, config.n_top)
-    return propose_association(
-        trial.beta, config.pilot_len, config.se_min, config.n_top,
-        evaluate_se=lambda a: evaluate_association(
-            moments, a, trial.beta, trial.sigma2, p, config)[1])
-
-
 @dataclass
 class AoIteration:
     objective: float
@@ -150,23 +140,31 @@ def run_scheme(scheme: SchemeId, trial: TrialData,
                config: ExperimentConfig) -> SchemeResult:
     """Evaluate one benchmark scheme on prepared trial data.
 
-    A round associates at the current powers and applies the scheme's power
-    rule to the coefficients of that association; the first round starts at
-    full power. PA+PP and PA+TP alternate rounds until the min-SE objective
-    stalls or i_max_ao rounds have run; the other schemes run one round and
-    return an empty trace. The association stage is a heuristic, so the
-    objective is not guaranteed monotone across rounds; the best round seen
-    is returned, which makes the returned objective non-decreasing in the
-    round count."""
+    The baseline association reads beta only, so it is built once, as the
+    start. A round associates at the current powers (BA keeps the start, PA
+    refines it by stage 3) and applies the scheme's power rule to the
+    coefficients of that association; the first round starts at full power.
+    PA+PP and PA+TP alternate rounds until the min-SE objective stalls or
+    i_max_ao rounds have run; the other schemes run one round and return an
+    empty trace. The association stage is a heuristic, so the objective is
+    not guaranteed monotone across rounds; the best round seen is returned,
+    which makes the returned objective non-decreasing in the round count."""
     solve = _make_solver(scheme.power, config)
     p = full_power(trial.beta.shape[0], config.p_max_w)
     trace = AoTrace(terminated_by="max-iters")
     fp_total = 0
     bisect_total = 0
     prev_obj = None
+    start = baseline_association(trial.beta, config.pilot_len, config.n_top)
     for _ in range(config.i_max_ao if scheme.uses_ao else 1):
         moments = moments_at(trial, p)
-        a = _associate(scheme.association, trial, moments, p, config)
+        if scheme.association == "BA":
+            a = start
+        else:
+            a = propose_association(
+                start, trial.beta, config.pilot_len, config.se_min,
+                evaluate_se=lambda a: evaluate_association(
+                    moments, a, trial.beta, trial.sigma2, p, config)[1])
         coef, _ = evaluate_association(moments, a, trial.beta, trial.sigma2,
                                        p, config)
         res = solve(coef)

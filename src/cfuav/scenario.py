@@ -60,6 +60,11 @@ class ExperimentConfig:
     master_seed: int = 1
 
     def __post_init__(self):
+        for name in _FLOAT_FIELDS + _TUPLE_FIELDS:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
         for name in ("num_orus", "antennas_per_oru", "num_uavs", "coherence_len",
                      "pilot_len", "n_top", "i_max_ao", "n_max_fp",
                      "n_channel_realizations", "trials"):
@@ -72,8 +77,6 @@ class ExperimentConfig:
             raise ValueError(
                 "uav_alt_range must lie within the UMa-AV band "
                 f"({UMA_AV_MIN_HEIGHT}, {UMA_AV_MAX_HEIGHT}] m")
-        if not math.isfinite(self.p_max_dbm):
-            raise ValueError("p_max_dbm must be finite")
         for name in ("area_side_m", "oru_height_m", "carrier_freq_ghz",
                      "bandwidth_hz", "eps_ao", "eps_bisect", "eps_fp"):
             if not getattr(self, name) > 0:
@@ -116,6 +119,16 @@ class ExperimentConfig:
         return 2.0 ** (self.se_min / self.prelog) - 1.0
 
 
+def _fields_of_type(t: type) -> tuple:
+    return tuple(f.name for f in fields(ExperimentConfig)
+                 if f.type in (t.__name__, t))
+
+
+_INT_FIELDS = _fields_of_type(int)
+_FLOAT_FIELDS = _fields_of_type(float)
+_TUPLE_FIELDS = _fields_of_type(tuple)
+
+
 def desk_scale(config: ExperimentConfig | None = None, **overrides) -> ExperimentConfig:
     """Small preset (25 dual-antenna O-RUs, 5 pilots, 50 trials) that runs the
     whole pipeline in minutes on a laptop."""
@@ -125,35 +138,15 @@ def desk_scale(config: ExperimentConfig | None = None, **overrides) -> Experimen
     return replace(base, **preset)
 
 
-@dataclass(frozen=True)
-class StreamKey:
-    """Identifies one random stream: (seed, trial, purpose) maps to exactly
-    one generator state, independent of evaluation order."""
-
-    master_seed: int
-    trial_index: int
-    purpose: str
-
-    def __post_init__(self):
-        if self.purpose not in STREAM_PURPOSES:
-            raise ValueError(f"unknown stream purpose {self.purpose!r}")
-        if self.trial_index < 0:
-            raise ValueError("trial_index must be non-negative")
-
-
-def derive_stream(key: StreamKey) -> np.random.Generator:
-    """Counter-based stream derivation: a pure function of the key fields, so
-    parallel trials are bit-reproducible."""
-    purpose_id = STREAM_PURPOSES.index(key.purpose)
-    seq = np.random.SeedSequence(entropy=key.master_seed,
-                                 spawn_key=(key.trial_index, purpose_id))
-    return np.random.default_rng(seq)
-
-
 def trial_streams(config: ExperimentConfig, trial_index: int) -> dict:
-    """All purpose streams for one trial, keyed by purpose."""
-    return {p: derive_stream(StreamKey(config.master_seed, trial_index, p))
-            for p in STREAM_PURPOSES}
+    """All purpose streams for one trial, keyed by purpose. Each generator is
+    a pure function of (master_seed, trial_index, purpose): its SeedSequence
+    takes spawn key (trial_index, index of purpose in STREAM_PURPOSES), so
+    parallel trials are bit-reproducible and independent of evaluation
+    order."""
+    return {purpose: np.random.default_rng(np.random.SeedSequence(
+                entropy=config.master_seed, spawn_key=(trial_index, i)))
+            for i, purpose in enumerate(STREAM_PURPOSES)}
 
 
 @dataclass(frozen=True)
@@ -185,10 +178,6 @@ def build_topology(config: ExperimentConfig,
     uav_z = rng.uniform(lo, hi, size=(config.num_uavs, 1))
     return Topology(oru_positions=np.hstack([oru_xy, oru_z]),
                     uav_positions=np.hstack([uav_xy, uav_z]))
-
-
-_TUPLE_FIELDS = {"uav_alt_range", "rician_k_range_db", "angular_spread_deg_range"}
-_INT_FIELDS = {f.name for f in fields(ExperimentConfig) if f.type in ("int", int)}
 
 
 def _parse_value(name: str, raw: str):

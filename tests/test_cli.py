@@ -116,6 +116,27 @@ def test_unworkable_config_fails_before_any_trial(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_non_finite_config_fails_before_any_trial(tmp_path, capsys,
+                                                  monkeypatch):
+    # a NaN noise figure would run and report min_se 0 on every row
+    calls = []
+
+    def count_run(config, schemes, n_jobs=1):
+        calls.append(config.num_uavs)
+        return [], []
+
+    monkeypatch.setattr(cli, "run_monte_carlo", count_run)
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("noise_figure_db = nan\n")
+    out = tmp_path / "x.csv"
+    code = main(["--config", str(cfg), "--desk-scale", "--trials", "1",
+                 "--uavs", "5", "--out", str(out)])
+    assert code == 1
+    assert "noise_figure_db must be finite" in capsys.readouterr().err
+    assert len(calls) == 0
+    assert not out.exists()
+
+
 def test_failed_trial_still_writes_csv_and_exits_one(tmp_path, capsys,
                                                     monkeypatch):
     run_trial = harness.run_trial

@@ -4,10 +4,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from cfuav.harness import (CSV_COLUMNS, MetricsRecord, dump_links,
-                           jain_fairness, min_se, prepare_trial, read_results,
-                           run_monte_carlo, run_trial, success_rate,
-                           write_results)
+from cfuav.harness import (MetricsRecord, dump_links, jain_fairness, min_se,
+                           prepare_trial, read_results, run_monte_carlo,
+                           run_trial, success_rate, write_results)
 from cfuav.orchestrator import ALL_SCHEMES, SchemeId
 from cfuav.propagation import solver_layout
 from cfuav.receiver import SeVector
@@ -242,7 +241,9 @@ def _record(trial=0, scheme="BA+FP", **kw):
 def test_write_results_header_only_for_empty(tmp_path):
     path, agg = write_results([], tmp_path / "out.csv")
     lines = open(path).read().splitlines()
-    assert lines == [",".join(CSV_COLUMNS)]
+    # the header README "Output" publishes
+    assert lines == ["trial,scheme,K,min_se,success_rate,jain_fairness,"
+                     "runtime_s,ao_iterations,fp_iterations_total,channel_hash"]
     assert open(agg).read().splitlines()[0].startswith("scheme,K,n_trials")
 
 
@@ -256,6 +257,9 @@ def test_write_results_roundtrip(tmp_path):
         assert parsed.scheme == orig.scheme and parsed.trial == orig.trial
         assert parsed.min_se == pytest.approx(orig.min_se, rel=1e-8)
         assert parsed.channel_hash == orig.channel_hash
+        # every other field reads back exactly, with its declared type
+        assert dataclasses.replace(parsed, min_se=orig.min_se) == orig
+        assert type(parsed.num_uavs) is int and type(parsed.runtime_s) is float
 
 
 def test_write_results_nine_significant_digits(tmp_path):

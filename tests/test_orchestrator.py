@@ -159,3 +159,20 @@ def test_every_scheme_shares_its_first_round(trial, tight_config):
         if not scheme.uses_ao:
             res = run_scheme(scheme, trial, tight_config)
             assert (res.trace.count, res.trace.terminated_by) == (0, "")
+
+
+def test_baseline_start_built_once_per_scheme(trial, tight_config, monkeypatch):
+    # stages 1-2 read beta only: PA rounds refine one BA start
+    from cfuav import association
+
+    calls = []
+
+    def counted(beta, tau_p):
+        calls.append(beta.shape)
+        return stage1(beta, tau_p)
+
+    stage1 = association.stage1_uav_centric
+    monkeypatch.setattr(association, "stage1_uav_centric", counted)
+    res = run_scheme(SchemeId("PA", "PP"), trial, tight_config)
+    assert res.trace.count >= 2
+    assert len(calls) == 1

@@ -9,8 +9,7 @@ from cfuav.propagation import (ChannelStats, LargeScaleLink, LinkGeometry,
                                link_geometry, los_probability, path_loss_db,
                                sample_los_state, spatial_correlation,
                                steering_vector)
-from cfuav.scenario import (ExperimentConfig, StreamKey, Topology,
-                            derive_stream)
+from cfuav.scenario import ExperimentConfig, Topology, trial_streams
 
 
 def geom_of(uavs, orus):
@@ -319,9 +318,9 @@ def test_draw_channels_identity_cov_moments():
 
 def test_draw_channels_repeatable():
     stats = _stats_for(kappa=2.0)
-    key = StreamKey(master_seed=9, trial_index=0, purpose="scattering")
-    h1 = draw_channels(stats, 5, derive_stream(key))
-    h2 = draw_channels(stats, 5, derive_stream(key))
+    config = ExperimentConfig(master_seed=9)
+    h1 = draw_channels(stats, 5, trial_streams(config, 0)["scattering"])
+    h2 = draw_channels(stats, 5, trial_streams(config, 0)["scattering"])
     np.testing.assert_array_equal(h1, h2)
 
 

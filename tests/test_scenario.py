@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats as scistats
 
-from cfuav.scenario import (STREAM_PURPOSES, ExperimentConfig, StreamKey,
-                            build_topology, derive_stream, desk_scale,
-                            load_config, trial_streams)
+from cfuav.scenario import (STREAM_PURPOSES, ExperimentConfig,
+                            build_topology, desk_scale, load_config,
+                            trial_streams)
 
 
 def test_default_parameters():
@@ -53,6 +53,11 @@ def test_derived_powers():
     dict(angular_spread_deg_mean=20.0),  # the triangular mode must lie in range
     dict(angular_spread_deg_range=(-5.0, 15.0)),
     dict(angular_spread_deg_range=(8.0, 8.0), angular_spread_deg_mean=8.0),
+    dict(noise_figure_db=float("nan")),  # non-finite floats fail at load
+    dict(noise_psd_dbm_hz=float("nan")),
+    dict(area_side_m=float("inf")),
+    dict(rician_k_range_db=(0.0, float("inf"))),
+    dict(master_seed=-1),                # SeedSequence takes no negative seed
 ])
 def test_config_invariants_rejected(bad):
     with pytest.raises(ValueError):
@@ -66,13 +71,13 @@ def test_desk_scale_preset():
     assert cfg.coherence_len == 200  # untouched defaults stay
 
 
-def _key(purpose, trial=0, seed=7):
-    return StreamKey(master_seed=seed, trial_index=trial, purpose=purpose)
+def _stream(purpose, trial=0, seed=7):
+    return trial_streams(ExperimentConfig(master_seed=seed), trial)[purpose]
 
 
 def test_topology_inside_square():
     cfg = ExperimentConfig(num_orus=100, num_uavs=50)
-    topo = build_topology(cfg, derive_stream(_key("topology")))
+    topo = build_topology(cfg, _stream("topology"))
     assert topo.oru_positions.shape == (100, 3)
     assert topo.uav_positions.shape == (50, 3)
     for xy in (topo.oru_positions[:, :2], topo.uav_positions[:, :2]):
@@ -82,35 +87,30 @@ def test_topology_inside_square():
 
 def test_topology_altitude_range():
     cfg = ExperimentConfig(uav_alt_range=(50.0, 150.0), num_uavs=200)
-    topo = build_topology(cfg, derive_stream(_key("topology")))
+    topo = build_topology(cfg, _stream("topology"))
     alt = topo.uav_positions[:, 2]
     assert np.all(alt >= 50.0) and np.all(alt <= 150.0)
 
 
 def test_topology_deterministic():
     cfg = ExperimentConfig(num_uavs=10, num_orus=10)
-    t1 = build_topology(cfg, derive_stream(_key("topology")))
-    t2 = build_topology(cfg, derive_stream(_key("topology")))
+    t1 = build_topology(cfg, _stream("topology"))
+    t2 = build_topology(cfg, _stream("topology"))
     np.testing.assert_array_equal(t1.oru_positions, t2.oru_positions)
     np.testing.assert_array_equal(t1.uav_positions, t2.uav_positions)
 
 
 def test_stream_determinism_and_distinctness():
-    a = derive_stream(_key("shadowing")).random(100)
-    b = derive_stream(_key("shadowing")).random(100)
+    a = _stream("shadowing").random(100)
+    b = _stream("shadowing").random(100)
     np.testing.assert_array_equal(a, b)
-    c = derive_stream(_key("shadowing", trial=1)).random(100)
+    c = _stream("shadowing", trial=1).random(100)
     assert not np.array_equal(a, c)
-
-
-def test_stream_unknown_purpose_rejected():
-    with pytest.raises(ValueError):
-        StreamKey(master_seed=1, trial_index=0, purpose="coffee")
 
 
 def test_purpose_streams_uncorrelated():
     n = 100_000
-    draws = {p: derive_stream(_key(p)).random(n) for p in STREAM_PURPOSES}
+    draws = {p: _stream(p).random(n) for p in STREAM_PURPOSES}
     names = list(STREAM_PURPOSES)
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
@@ -125,7 +125,7 @@ def test_trial_streams_cover_all_purposes():
 
 def test_x_coordinates_uniform_ks():
     cfg = ExperimentConfig(num_uavs=10_000, num_orus=1)
-    topo = build_topology(cfg, derive_stream(_key("topology", seed=123)))
+    topo = build_topology(cfg, _stream("topology", seed=123))
     x = topo.uav_positions[:, 0] / cfg.area_side_m
     assert scistats.kstest(x, "uniform").pvalue > 0.01
 
