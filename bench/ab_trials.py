@@ -17,14 +17,21 @@ faster, the ratio of total times, and the same for prepare_trial's share
 (a trial's time outside its schemes' runtime_s). Then a drift check of
 every (trial, scheme) record: ao_iterations, fp_iterations_total,
 success_rate, association and channel_hash must be equal, and min_se is
-reported by how far it moved. Exits 1 when a decision differs."""
+reported by how far it moved. Last, an untimed pass over the first 12
+trials runs each side again with tracemalloc on and prints, per side, the
+median traced peak of a trial (numpy reports its buffers to tracemalloc)
+and the median of its minor page faults (getrusage deltas), with the ratios
+parent/change. Exits 1 when a decision differs."""
 
 import argparse
 import importlib
 import importlib.util
 import os
+import resource
+import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -33,6 +40,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 DESK_UAVS = (5, 10, 20)
 DECISIONS = ("ao_iterations", "fp_iterations_total", "success_rate",
              "channel_hash")
+MEMORY_TRIALS = 12
 
 
 def load_tree(root, name: str) -> SimpleNamespace:
@@ -68,6 +76,41 @@ def timed_trial(tree, config, trial: int):
                                               tree.orchestrator.ALL_SCHEMES)
     wall = time.perf_counter() - t0
     return wall, wall - sum(r.runtime_s for r in records), records, results
+
+
+def traced_trial(tree, config, trial: int) -> tuple:
+    """(traced peak bytes above the start, minor page faults) of one
+    run_trial; tracemalloc must be on."""
+    start = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    tree.harness.run_trial(config, trial, tree.orchestrator.ALL_SCHEMES)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return tracemalloc.get_traced_memory()[1] - start, faults
+
+
+def memory_lines(sides, items) -> list:
+    """The memory pass: the first MEMORY_TRIALS trials once more per side,
+    alternating which goes first, with tracemalloc on."""
+    peaks, faults = ([], []), ([], [])
+    tracemalloc.start()
+    try:
+        for t in range(min(MEMORY_TRIALS, len(items[0]))):
+            for side in ((0, 1) if t % 2 == 0 else (1, 0)):
+                peak, fault = traced_trial(sides[side], *items[side][t])
+                peaks[side].append(peak / 1e6)
+                faults[side].append(fault)
+    finally:
+        tracemalloc.stop()
+    lines = [f"memory per desk trial, median over {len(peaks[0])} "
+             "(tracemalloc on)"]
+    for label, fmt, (p, c) in (("traced peak", "{:.2f} MB", peaks),
+                               ("minor faults", "{:g}", faults)):
+        p, c = statistics.median(p), statistics.median(c)
+        ratio = f"{p / c:.3f}" if c else "n/a"
+        lines.append(f"{label:<13} parent {fmt.format(p)}  "
+                     f"change {fmt.format(c)}  ratio {ratio}")
+    return lines
 
 
 def quartiles(values) -> tuple:
@@ -160,6 +203,7 @@ def main(argv=None) -> int:
     print(ratio_line("prepare", *prep))
     mismatches, moves = drift(pairs)
     print("\n".join(drift_lines(mismatches, moves)))
+    print("\n".join(memory_lines(sides, items)))
     return 1 if mismatches else 0
 
 

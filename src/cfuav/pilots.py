@@ -8,7 +8,11 @@ C = C_hat + C_err for all (K, L) links in one batched pass.
 The pilot phase runs in the solver layout (L, N, T, K) of the channel
 ensemble (see propagation.solver_layout): despreading is one GEMM over the
 UAV axis, and the estimates are written by propagation.link_affine, so
-h_hat, like h, is a (T, K, L, N) view of solver-layout storage."""
+h_hat, like h, is a (T, K, L, N) view of solver-layout storage. The
+per-UAV copy of the pilot observations is gathered one block of O-RUs at a
+time (propagation.oru_blocks), so the estimation holds the (L, N, T, tau_p)
+observations and the estimates, never an (L, N, T, K) copy of the
+observations."""
 
 import math
 from dataclasses import dataclass
@@ -119,8 +123,11 @@ def simulate_pilot_and_estimate(h: np.ndarray, assignment: PilotAssignment,
         l_num, n, t_num, tau)
     noise = stream.standard_normal((2, t_num, tau, l_num, n))
     y += complex_normal_layout(noise, math.sqrt(tau * sigma2 / 2.0))
+    del noise                   # freed before the estimates are allocated
     y -= y_mean
     psi, w, c_hat, c_err = _estimation_matrices(assignment, stats, sigma2)
-    h_hat = link_affine(stats.mean_vec, w,
-                        np.take(y, assignment.pilot_of, axis=-1))
+    # each UAV reads its pilot's observation, gathered one block at a time
+    h_hat = link_affine(
+        stats.mean_vec, w,
+        lambda sl: np.take(y[sl], assignment.pilot_of, axis=-1), t_num)
     return EstimationResult(h_hat=h_hat, c_hat=c_hat, c_err=c_err, psi=psi)

@@ -6,7 +6,13 @@ Every per-link quantity is held as a K x L array (UAV index first). The
 realization ensemble has the canonical shape (T, K, L, N) but is stored in
 the solver layout (L, N, T, K) that the receiver's moment reduction reads:
 draw_channels writes it there with entrywise passes that loop over the N
-antennas only, and returns the canonical shape as a transposed view."""
+antennas only, and returns the canonical shape as a transposed view.
+
+Every kernel over a whole ensemble (link_affine here, and the receiver's
+f(h), Gram factor and fills) runs over blocks of whole O-RUs from
+oru_blocks, sized so that a block's temporaries take at most BLOCK_BYTES.
+A trial thus holds its own arrays plus one block, whatever L is, and the
+temporaries stay in cache."""
 
 import math
 from dataclasses import dataclass
@@ -15,6 +21,11 @@ import numpy as np
 
 from .scenario import (UMA_AV_MAX_HEIGHT, UMA_AV_MIN_HEIGHT, ExperimentConfig,
                        Topology)
+
+# the bytes of temporaries an ensemble kernel holds at once (oru_blocks):
+# small enough to stay in cache, large enough that a desk-scale array of a
+# few MB takes a handful of blocks
+BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -231,24 +242,47 @@ def complex_normal_layout(z: np.ndarray, scale: float) -> np.ndarray:
     return out
 
 
-def link_affine(mean: np.ndarray, mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """mean_kl + mat_kl x_kl for every link and realization, with mean
-    (K, L, N), mat (K, L, N, N) and x in solver layout (L, N, T, K).
+def oru_blocks(num_orus: int, bytes_per_oru) -> list:
+    """Consecutive slices of whole O-RUs, each as long as its temporaries
+    stay within BLOCK_BYTES, and at least one O-RU long. bytes_per_oru is
+    one number for every O-RU or a list of one per O-RU. An ensemble kernel
+    that loops over these slices holds one block of temporaries at a time,
+    whatever L is; when the whole array fits, there is one slice."""
+    if np.isscalar(bytes_per_oru):
+        bytes_per_oru = [bytes_per_oru] * num_orus
+    blocks, start, held = [], 0, 0
+    for l, size in enumerate(bytes_per_oru):
+        if l > start and held + size > BLOCK_BYTES:
+            blocks.append(slice(start, l))
+            start, held = l, 0
+        held += size
+    blocks.append(slice(start, num_orus))
+    return blocks
 
-    Python loops run over the N x N matrix entries only; each step is one
-    entrywise pass over an (L, T, K) array. The result is stored in solver
-    layout and returned as its (T, K, L, N) view."""
-    l_num, n, t_num, k_num = x.shape
+
+def link_affine(mean: np.ndarray, mat: np.ndarray, x_of,
+                t_num: int) -> np.ndarray:
+    """mean_kl + mat_kl x_kl for every link and realization, with mean
+    (K, L, N), mat (K, L, N, N) and x read block by block: x_of(sl) returns
+    the O-RUs sl of x in solver layout, (len(sl), N, T, K).
+
+    The O-RUs run in the blocks of oru_blocks, so x is never held whole;
+    within a block, Python loops run over the N x N matrix entries only and
+    each step is one entrywise pass over a (block, T, K) array. The result
+    is stored in solver layout and returned as its (T, K, L, N) view."""
+    k_num, l_num, n = mean.shape
     m = np.ascontiguousarray(mat.transpose(1, 2, 3, 0))[:, :, :, None]
     mu = np.ascontiguousarray(mean.transpose(1, 2, 0))[:, :, None]
     out = np.empty((l_num, n, t_num, k_num), dtype=complex)
-    term = np.empty((l_num, t_num, k_num), dtype=complex)
-    for i in range(n):
-        o = out[:, i]
-        np.multiply(m[:, i, 0], x[:, 0], out=o)
-        for j in range(1, n):
-            o += np.multiply(m[:, i, j], x[:, j], out=term)
-        o += mu[:, i]
+    for sl in oru_blocks(l_num, out[0].nbytes):
+        x = x_of(sl)
+        term = np.empty(x[:, 0].shape, dtype=complex)
+        for i in range(n):
+            o = out[sl, i]
+            np.multiply(m[sl, i, 0], x[:, 0], out=o)
+            for j in range(1, n):
+                o += np.multiply(m[sl, i, j], x[:, j], out=term)
+            o += mu[sl, i]
     return out.transpose(2, 3, 0, 1)
 
 
@@ -262,5 +296,8 @@ def draw_channels(stats: ChannelStats, n_realizations: int,
     sqrt_cov = covariance_sqrt(stats.scatter_cov)
     k, l, n = stats.mean_vec.shape
     z = stream.standard_normal((2, n_realizations, k, l, n))
-    return link_affine(stats.mean_vec, sqrt_cov,
-                       complex_normal_layout(z, 1.0 / math.sqrt(2.0)))
+    scale = 1.0 / math.sqrt(2.0)
+    return link_affine(
+        stats.mean_vec, sqrt_cov,
+        lambda sl: complex_normal_layout(z[:, :, :, sl], scale),
+        n_realizations)

@@ -22,10 +22,10 @@ The trial's h and h_hat are stored in the solver layout (L, N, T, K) from
 the draw on (see propagation.solver_layout). Per (l, t) the Gram matrix
 G = sum_k p_k (h_hat_k h_hat_k^H + C_err_k) + sigma^2 I is Hermitian positive
 definite, and is factored as G = C C^H by a Cholesky factorization written
-entrywise over whole (L, T) arrays, looping in Python over the N antennas
-only. A fill lists its P new (k, l) pairs by O-RU, then by UAV, gathers
-their rows of h_hat and h into (N, P, T) blocks, and forward and back
-substitution give their combiners v, all T realizations in one pass. The
+entrywise over (L, T) arrays, looping in Python over the N antennas only. A
+fill lists its P new (k, l) pairs by O-RU, then by UAV, gathers their rows
+of h_hat and h into (N, P, T) arrays, and forward and back substitution
+give their combiners v, all T realizations in one pass. The
 second moment uses the real feature map f(x) in R^(N^2) made of |x_a|^2 and
 sqrt2 Re / sqrt2 Im of x_a conj(x_b) for a < b, for which
 |v^H h|^2 = f(v) . f(h). The sum of E[|v_kl^H h_il|^2] is thus one real GEMM
@@ -33,7 +33,12 @@ per O-RU over its run of P_l pairs, (P_l x N^2 T) by (N^2 T x K), and the
 cross-term tensor is never formed. f(h) depends on the trial only: the
 trial's full-power channel_moments call builds it, and the calls at other
 powers read that array. Filled pairs are memoized: a pair keeps its bits for
-the life of the object, whatever is filled after it."""
+the life of the object, whatever is filled after it.
+
+f(h), the factor and every fill run over blocks of whole O-RUs
+(propagation.oru_blocks), so their temporaries take at most
+propagation.BLOCK_BYTES at a time: a trial's working set is the arrays it
+keeps plus one block. The block size moves no value by more than rounding."""
 
 import math
 from dataclasses import dataclass, field
@@ -41,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pilots import EstimationResult
-from .propagation import solver_layout
+from .propagation import oru_blocks, solver_layout
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -70,23 +75,29 @@ def _gram_cholesky(h_hat: np.ndarray, base: np.ndarray,
     """Lower Cholesky factor C of G = base + sum_k p_k h_hat_k h_hat_k^H for
     every (l, t) of a solver-layout ensemble h_hat (L, N, T, K). Row i holds
     the entries C[i][j], j <= i, each an (L, T) array; C[i][i] is real. The
-    sums over k are matrix-vector products with p. base >= sigma^2 I makes G
-    positive definite, so every pivot C[j][j]^2 >= sigma^2 and no pivoting
-    is needed."""
-    n = h_hat.shape[1]
+    entries are allocated whole and filled one block of O-RUs at a time
+    (oru_blocks), so the (block, T, K) temporaries of the sums over k, which
+    are matrix-vector products with p, do not grow with L. base >= sigma^2 I
+    makes G positive definite, so every pivot C[j][j]^2 >= sigma^2 and no
+    pivoting is needed."""
+    l_num, n, t_num, _ = h_hat.shape
     powers_c = powers + 0j
-    c = [[None] * (i + 1) for i in range(n)]
-    for j in range(n):
-        pivot = base[:, j, j, None].real + _abs2(h_hat[:, j]) @ powers
-        for m in range(j):
-            pivot -= _abs2(c[j][m])
-        c[j][j] = np.sqrt(pivot)
-        conj = np.conj(h_hat[:, j])
-        for i in range(j + 1, n):
-            g = base[:, i, j, None] + (h_hat[:, i] * conj) @ powers_c
+    c = [[np.empty((l_num, t_num), dtype=float if i == j else complex)
+          for j in range(i + 1)] for i in range(n)]
+    for sl in oru_blocks(l_num, h_hat[0].nbytes):
+        hb = h_hat[sl]
+        cb = [[x[sl] for x in row] for row in c]
+        for j in range(n):
+            pivot = base[sl, j, j, None].real + _abs2(hb[:, j]) @ powers
             for m in range(j):
-                g -= c[i][m] * np.conj(c[j][m])
-            c[i][j] = g / c[j][j]
+                pivot -= _abs2(cb[j][m])
+            np.sqrt(pivot, out=cb[j][j])
+            conj = np.conj(hb[:, j])
+            for i in range(j + 1, n):
+                g = base[sl, i, j, None] + (hb[:, i] * conj) @ powers_c
+                for m in range(j):
+                    g -= cb[i][m] * np.conj(cb[j][m])
+                np.divide(g, cb[j][j], out=cb[i][j])
     return c
 
 
@@ -115,12 +126,14 @@ def _substitute(c: list, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _features(x: np.ndarray, axis: int = 0) -> np.ndarray:
+def _features(x: np.ndarray, axis: int = 0, out: np.ndarray = None
+              ) -> np.ndarray:
     """Real features of x along its antenna axis, which grows from N to N*N:
     |x_a|^2 for every antenna a, then sqrt2 Re and sqrt2 Im of x_a conj(x_b)
-    for a < b, so that |v^H h|^2 = f(v) . f(h)."""
+    for a < b, so that |v^H h|^2 = f(v) . f(h). Written into out when given."""
     n = x.shape[axis]
-    f = np.empty(x.shape[:axis] + (n * n,) + x.shape[axis + 1:])
+    f = np.empty(x.shape[:axis] + (n * n,) + x.shape[axis + 1:]) \
+        if out is None else out
     fa, xa = f.swapaxes(0, axis), x.swapaxes(0, axis)
     np.square(xa.real, out=fa[:n])
     fa[:n] += np.square(xa.imag)
@@ -138,9 +151,13 @@ def _channel_features(h: np.ndarray) -> np.ndarray:
     """f(h) of a trial's solver-layout ensemble h (L, N, T, K), laid out
     (L, N^2 T, K) as the g2 GEMM of every fill reads it. It depends on the
     trial only, so each trial builds it once: L N^2 T K 8 bytes (3.2 MB at
-    desk scale with K = 20, 128 MB at the paper default)."""
+    desk scale with K = 20, 128 MB at the paper default), written one block
+    of O-RUs at a time (oru_blocks)."""
     l_num, n, t_num, k_num = h.shape
-    return _features(h, 1).reshape(l_num, n * n * t_num, k_num)
+    f = np.empty((l_num, n * n, t_num, k_num))
+    for sl in oru_blocks(l_num, h[0].nbytes):
+        _features(h[sl], 1, out=f[sl])
+    return f.reshape(l_num, n * n * t_num, k_num)
 
 
 @dataclass(frozen=True)
@@ -158,22 +175,35 @@ class _GramFactor:
         """Sums over all T realizations for the combiner of UAV ks[p] at
         O-RU ls[p], the P pairs sorted by O-RU: s1 (P,) of v^H h, s2 (P, K)
         of |v^H h_i|^2 for every UAV i, and sn (P,) of ||v||^2, in one pass.
-        The pairs' rows of h and h_hat are gathered as (N, P, T) blocks, and
-        the g2 sum is one real GEMM per O-RU over its run of P_l pairs,
-        (P_l x N^2 T) f(v) times the trial's (N^2 T x K) f(h)."""
-        n = self.h.shape[1]
-        # x[pick][i, p] is x[ls[p], i, :, ks[p]], shape (N, P, T)
-        pick = (ls, np.arange(n)[:, None], slice(None), ks)
-        v = _substitute([[x[ls] for x in row] for row in self.c],
-                        self.h_hat[pick])
-        fv = _features(v)
-        s1 = np.einsum("npt,npt->p", np.conj(v), self.h[pick])
-        sn = fv[:n].sum(axis=(0, 2))
-        fv = np.ascontiguousarray(fv.transpose(1, 0, 2)).reshape(ls.size, -1)
-        s2 = np.empty((ls.size, self.h.shape[3]))
+        The pairs run in blocks of whole O-RUs (oru_blocks), sized by each
+        pair's rows of h, h_hat, the factor and f(v). A block's rows of h
+        and h_hat are gathered as (N, P_b, T) arrays, and its g2 sum is one
+        real GEMM per O-RU over its run of P_l pairs, (P_l x N^2 T) f(v)
+        times the trial's (N^2 T x K) f(h)."""
+        _, n, t_num, k_num = self.h.shape
+        s1 = np.empty(ls.size, dtype=complex)
+        s2 = np.empty((ls.size, k_num))
+        sn = np.empty(ls.size)
         orus, starts = np.unique(ls, return_index=True)
-        for l, a, b in zip(orus, starts, [*starts[1:], ls.size]):
-            np.matmul(fv[a:b], self.features[l], out=s2[a:b])
+        orus, bounds = orus.tolist(), [*starts.tolist(), ls.size]
+        per_pair = t_num * (16 * (2 * n + n * (n + 1) // 2) + 8 * n * n)
+        for blk in oru_blocks(len(orus), [(b - a) * per_pair for a, b
+                                          in zip(bounds, bounds[1:])]):
+            run = slice(bounds[blk.start], bounds[blk.stop])
+            ks_b, ls_b = ks[run], ls[run]
+            # x[pick][i, p] is x[ls_b[p], i, :, ks_b[p]], shape (N, P_b, T)
+            pick = (ls_b, np.arange(n)[:, None], slice(None), ks_b)
+            v = _substitute([[x[ls_b] for x in row] for row in self.c],
+                            self.h_hat[pick])
+            s1[run] = np.einsum("npt,npt->p", np.conj(v), self.h[pick])
+            fv = _features(v)
+            sn[run] = fv[:n].sum(axis=(0, 2))
+            fv = np.ascontiguousarray(fv.transpose(1, 0, 2)).reshape(
+                ls_b.size, -1)
+            for l, a, b in zip(orus[blk], bounds[blk],
+                               bounds[blk.start + 1:blk.stop + 1]):
+                np.matmul(fv[a - run.start:b - run.start], self.features[l],
+                          out=s2[a:b])
         return s1, s2, sn
 
 
