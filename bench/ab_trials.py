@@ -19,15 +19,13 @@ every (trial, scheme) record: ao_iterations, fp_iterations_total,
 success_rate, association and channel_hash must be equal, and min_se is
 reported by how far it moved. Last, an untimed pass over the first 12
 trials runs each side again with tracemalloc on and prints, per side, the
-median traced peak of a trial (numpy reports its buffers to tracemalloc)
-and the median of its minor page faults (getrusage deltas), with the ratios
-parent/change. Exits 1 when a decision differs."""
+median traced peak of a trial (numpy reports its buffers to tracemalloc),
+with the ratio parent/change. Exits 1 when a decision differs."""
 
 import argparse
 import importlib
 import importlib.util
 import os
-import resource
 import statistics
 import sys
 import time
@@ -78,39 +76,34 @@ def timed_trial(tree, config, trial: int):
     return wall, wall - sum(r.runtime_s for r in records), records, results
 
 
-def traced_trial(tree, config, trial: int) -> tuple:
-    """(traced peak bytes above the start, minor page faults) of one
-    run_trial; tracemalloc must be on."""
+def traced_peak(tree, config, trial: int) -> int:
+    """Traced peak bytes of one run_trial above its start; tracemalloc must
+    be on."""
     start = tracemalloc.get_traced_memory()[0]
     tracemalloc.reset_peak()
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     tree.harness.run_trial(config, trial, tree.orchestrator.ALL_SCHEMES)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    return tracemalloc.get_traced_memory()[1] - start, faults
+    return tracemalloc.get_traced_memory()[1] - start
 
 
 def memory_lines(sides, items) -> list:
     """The memory pass: the first MEMORY_TRIALS trials once more per side,
-    alternating which goes first, with tracemalloc on."""
-    peaks, faults = ([], []), ([], [])
+    alternating which goes first, with tracemalloc on. Page faults are not
+    compared: both sides share one heap, so a side's faults depend on what
+    the other side just freed."""
+    peaks = ([], [])
     tracemalloc.start()
     try:
         for t in range(min(MEMORY_TRIALS, len(items[0]))):
             for side in ((0, 1) if t % 2 == 0 else (1, 0)):
-                peak, fault = traced_trial(sides[side], *items[side][t])
-                peaks[side].append(peak / 1e6)
-                faults[side].append(fault)
+                peaks[side].append(
+                    traced_peak(sides[side], *items[side][t]) / 1e6)
     finally:
         tracemalloc.stop()
-    lines = [f"memory per desk trial, median over {len(peaks[0])} "
-             "(tracemalloc on)"]
-    for label, fmt, (p, c) in (("traced peak", "{:.2f} MB", peaks),
-                               ("minor faults", "{:g}", faults)):
-        p, c = statistics.median(p), statistics.median(c)
-        ratio = f"{p / c:.3f}" if c else "n/a"
-        lines.append(f"{label:<13} parent {fmt.format(p)}  "
-                     f"change {fmt.format(c)}  ratio {ratio}")
-    return lines
+    p, c = statistics.median(peaks[0]), statistics.median(peaks[1])
+    return [f"memory per desk trial, median over {len(peaks[0])} "
+            "(tracemalloc on)",
+            f"traced peak   parent {p:.2f} MB  change {c:.2f} MB  "
+            f"ratio {p / c:.3f}"]
 
 
 def quartiles(values) -> tuple:

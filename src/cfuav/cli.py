@@ -52,14 +52,6 @@ def main(argv=None) -> int:
                    if args.schemes else list(ALL_SCHEMES))
         if not uav_counts or not schemes:
             raise ValueError("--uavs and --schemes need at least one item")
-        # each O-RU serves at most tau_p UAVs, so no association exists
-        # for more than L * tau_p of them
-        capacity = config.num_orus * config.pilot_len
-        too_many = [k for k in uav_counts if k > capacity]
-        if too_many:
-            raise ValueError(
-                f"UAV count(s) {too_many} exceed num_orus * pilot_len = "
-                f"{config.num_orus} * {config.pilot_len} = {capacity}")
 
         # build (and so validate) every per-K config before the first trial
         configs = [replace(config, num_uavs=k) for k in uav_counts]

@@ -107,11 +107,10 @@ def prepare_trial(config: ExperimentConfig, trial_index: int) -> TrialData:
     streams = trial_streams(config, trial_index)
     geom, ls = large_scale_state(config, streams)
     n_ant = config.antennas_per_oru
-    offset = config.array_azimuth_offset_deg
-    a_los = steering_vector(geom, n_ant, offset)
+    a_los = steering_vector(geom, n_ant)
     spread = draw_angular_spread(config, streams["angular-spread"],
                                  geom.d_2d.shape)
-    corr = spatial_correlation(geom, spread, n_ant, offset)
+    corr = spatial_correlation(geom, spread, n_ant)
     stats = channel_stats(ls, a_los, corr)
     assignment = assign_pilots_random(config.num_uavs, config.pilot_len,
                                       streams["pilot-assignment"],

@@ -60,23 +60,15 @@ def parse_scheme(label: str) -> SchemeId:
 class TrialData:
     """Everything one trial's schemes share: large-scale state, the channel
     ensemble with its estimates, and the full-power moments, whose filled
-    pairs every scheme reuses."""
+    pairs every scheme's first round reuses and whose f(h) every later
+    round reads."""
 
     beta: np.ndarray
     h: np.ndarray
     est: EstimationResult
     sigma2: float
     moments_full: ChannelMoments
-    channel_hash: str = ""
-
-
-def moments_at(trial: TrialData, p: np.ndarray) -> ChannelMoments:
-    """Combiner moments for a power vector, reusing the full-power cache and
-    the trial's f(h), which the full-power moments built."""
-    if np.array_equal(p, trial.moments_full.power):
-        return trial.moments_full
-    return channel_moments(trial.h, trial.est, p, trial.sigma2,
-                           trial.moments_full.factor.features)
+    channel_hash: str
 
 
 def evaluate_association(moments: ChannelMoments, association: np.ndarray,
@@ -143,12 +135,14 @@ def run_scheme(scheme: SchemeId, trial: TrialData,
     The baseline association reads beta only, so it is built once, as the
     start. A round associates at the current powers (BA keeps the start, PA
     refines it by stage 3) and applies the scheme's power rule to the
-    coefficients of that association; the first round starts at full power.
-    PA+PP and PA+TP alternate rounds until the min-SE objective stalls or
-    i_max_ao rounds have run; the other schemes run one round and return an
-    empty trace. The association stage is a heuristic, so the objective is
-    not guaranteed monotone across rounds; the best round seen is returned,
-    which makes the returned objective non-decreasing in the round count."""
+    coefficients of that association. The first round starts at full power
+    and reads the trial's full-power moments; each later round builds the
+    moments of its powers over the trial's f(h). PA+PP and PA+TP alternate
+    rounds until the min-SE objective stalls or i_max_ao rounds have run;
+    the other schemes run one round and return an empty trace. The
+    association stage is a heuristic, so the objective is not guaranteed
+    monotone across rounds; the best round seen is returned, which makes the
+    returned objective non-decreasing in the round count."""
     solve = _make_solver(scheme.power, config)
     p = full_power(trial.beta.shape[0], config.p_max_w)
     trace = AoTrace(terminated_by="max-iters")
@@ -156,8 +150,9 @@ def run_scheme(scheme: SchemeId, trial: TrialData,
     bisect_total = 0
     prev_obj = None
     start = baseline_association(trial.beta, config.pilot_len, config.n_top)
-    for _ in range(config.i_max_ao if scheme.uses_ao else 1):
-        moments = moments_at(trial, p)
+    for i in range(config.i_max_ao if scheme.uses_ao else 1):
+        moments = trial.moments_full if i == 0 else channel_moments(
+            trial.h, trial.est, p, trial.sigma2, trial.moments_full.features)
         if scheme.association == "BA":
             a = start
         else:

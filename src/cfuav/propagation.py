@@ -37,7 +37,6 @@ class LinkGeometry:
     elevation: np.ndarray     # (K, L) rad, positive when the UAV is above
     azimuth: np.ndarray       # (K, L) rad, O-RU to UAV bearing
     uav_height: np.ndarray    # (K,) m
-    oru_height: np.ndarray    # (L,) m
 
 
 def link_geometry(topology: Topology) -> LinkGeometry:
@@ -53,8 +52,7 @@ def link_geometry(topology: Topology) -> LinkGeometry:
     elevation = np.arcsin(dh / d_3d)
     azimuth = np.arctan2(delta[..., 1], delta[..., 0])
     return LinkGeometry(d_2d=d_2d, d_3d=d_3d, elevation=elevation,
-                        azimuth=azimuth, uav_height=uav[:, 2],
-                        oru_height=oru[:, 2])
+                        azimuth=azimuth, uav_height=uav[:, 2])
 
 
 def _check_height_band(h):
@@ -134,20 +132,17 @@ def large_scale(geom: LinkGeometry, is_los, config: ExperimentConfig,
                           beta=beta, rician_k_linear=k_linear)
 
 
-def _direction_cosine(geom: LinkGeometry, azimuth_offset_deg: float) -> np.ndarray:
-    # effective angle seen by a horizontal half-wavelength ULA with a global
-    # boresight offset
-    off = math.radians(azimuth_offset_deg)
-    return np.sin(geom.elevation) * np.cos(geom.azimuth - off)
+def _direction_cosine(geom: LinkGeometry) -> np.ndarray:
+    # effective angle seen by a horizontal half-wavelength ULA
+    return np.sin(geom.elevation) * np.cos(geom.azimuth)
 
 
-def steering_vector(geom: LinkGeometry, n_antennas: int,
-                    azimuth_offset_deg: float = 0.0) -> np.ndarray:
+def steering_vector(geom: LinkGeometry, n_antennas: int) -> np.ndarray:
     """ULA array response per link, (K, L, N). Unit-modulus entries, so the
     squared norm is exactly N."""
     if n_antennas < 1:
         raise ValueError("n_antennas must be >= 1")
-    omega = _direction_cosine(geom, azimuth_offset_deg)
+    omega = _direction_cosine(geom)
     n = np.arange(n_antennas)
     return np.exp(1j * math.pi * omega[..., None] * n)
 
@@ -160,8 +155,8 @@ def draw_angular_spread(config: ExperimentConfig,
     return stream.triangular(lo, config.angular_spread_deg_mean, hi, size=shape)
 
 
-def spatial_correlation(geom: LinkGeometry, angular_spread_deg, n_antennas: int,
-                        azimuth_offset_deg: float = 0.0) -> np.ndarray:
+def spatial_correlation(geom: LinkGeometry, angular_spread_deg,
+                        n_antennas: int) -> np.ndarray:
     """Gaussian local-scattering correlation matrices, (K, L, N, N).
 
     Entry (m, n) is exp(j*pi*(m-n)*sin(phi)) damped by a Gaussian in the
@@ -170,7 +165,7 @@ def spatial_correlation(geom: LinkGeometry, angular_spread_deg, n_antennas: int,
     spread = np.asarray(angular_spread_deg, dtype=float)
     if np.any(spread <= 0):
         raise ValueError("angular spread must be positive")
-    omega = _direction_cosine(geom, azimuth_offset_deg)
+    omega = _direction_cosine(geom)
     cos_phi = np.sqrt(np.clip(1.0 - omega ** 2, 0.0, 1.0))
     sigma_phi = np.deg2rad(spread)
     idx = np.arange(n_antennas)

@@ -5,9 +5,12 @@ channel_moments is the one receiver pipeline: it factors the Gram matrix of
 every (O-RU, realization) once per power vector and returns a ChannelMoments
 object that solves and reduces the L-MMSE combiners of a (k, l) pair only
 when asked (ChannelMoments.fill), never holding the (T, K, L, N) combiner
-tensor. assemble_coefficients fuses the moments with the CPU weights and
-asks only for the served pairs (alpha_kl != 0): each UAV is served by a few
-O-RUs and each O-RU by at most tau_p UAVs, so most pairs are never computed.
+tensor. That one flat object per power vector holds the memo (g1, g2, gn
+and the filled mask) beside what a fill reads: h, h_hat, the trial's f(h)
+and the factor entries. assemble_coefficients fuses the moments with the
+CPU weights and asks only for the served pairs (alpha_kl != 0): each UAV is
+served by a few O-RUs and each O-RU by at most tau_p UAVs, so most pairs
+are never computed.
 
 For a power vector p the SINR of UAV k is the rational form
 
@@ -32,8 +35,9 @@ sqrt2 Re / sqrt2 Im of x_a conj(x_b) for a < b, for which
 per O-RU over its run of P_l pairs, (P_l x N^2 T) by (N^2 T x K), and the
 cross-term tensor is never formed. f(h) depends on the trial only: the
 trial's full-power channel_moments call builds it, and the calls at other
-powers read that array. Filled pairs are memoized: a pair keeps its bits for
-the life of the object, whatever is filled after it.
+powers get that array as their features argument. Filled pairs are
+memoized: a pair keeps its bits for the life of the object, whatever is
+filled after it.
 
 f(h), the factor and every fill run over blocks of whole O-RUs
 (propagation.oru_blocks), so their temporaries take at most
@@ -41,7 +45,7 @@ propagation.BLOCK_BYTES at a time: a trial's working set is the arrays it
 keeps plus one block. The block size moves no value by more than rounding."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,18 +164,41 @@ def _channel_features(h: np.ndarray) -> np.ndarray:
     return f.reshape(l_num, n * n * t_num, k_num)
 
 
-@dataclass(frozen=True)
-class _GramFactor:
-    """What a moment fill reads: the solver layouts (L, N, T, K) of h and
-    h_hat, the trial's f(h) (L, N^2 T, K), and the Cholesky factor c of
-    every (l, t) Gram matrix, entry c[i][m] (m <= i) an (L, T) array."""
+@dataclass(eq=False)
+class ChannelMoments:
+    """Ensemble averages feeding the SINR coefficients of one power vector,
+    and what a fill reads to compute them: the solver layouts (L, N, T, K)
+    of h and h_hat, the trial's f(h) (L, N^2 T, K), and the Cholesky factor
+    c of every (l, t) Gram matrix at that power, entry c[i][m] (m <= i) an
+    (L, T) array. Only the filled (k, l) pairs hold values; the others read
+    0. channel_moments returns it with no pair filled, and fill computes the
+    pairs a caller needs."""
 
+    g1: np.ndarray        # (K, L) complex, E[v_kl^H h_kl]
+    g2: np.ndarray        # (K, K, L) real, E[|v_kl^H h_il|^2]
+    gn: np.ndarray        # (K, L) real, E[||v_kl||^2]
+    filled: np.ndarray    # (K, L) bool
     h: np.ndarray
     h_hat: np.ndarray
     features: np.ndarray
     c: list
 
-    def reduce(self, ks: np.ndarray, ls: np.ndarray) -> tuple:
+    def fill(self, mask) -> None:
+        """Compute and memoize the moments of every (k, l) pair where mask is
+        true. Filled pairs keep their values, so a pair reads the same bits
+        for the life of the object. Only the new pairs are reduced, listed
+        by O-RU, then by UAV."""
+        ls, ks = np.nonzero((np.asarray(mask, dtype=bool) & ~self.filled).T)
+        if ls.size == 0:
+            return
+        s1, s2, sn = self._reduce(ks, ls)
+        t_num = self.h.shape[2]
+        self.g1[ks, ls] = s1 / t_num
+        self.g2[ks, :, ls] = s2 / t_num
+        self.gn[ks, ls] = sn / t_num
+        self.filled[ks, ls] = True
+
+    def _reduce(self, ks: np.ndarray, ls: np.ndarray) -> tuple:
         """Sums over all T realizations for the combiner of UAV ks[p] at
         O-RU ls[p], the P pairs sorted by O-RU: s1 (P,) of v^H h, s2 (P, K)
         of |v^H h_i|^2 for every UAV i, and sn (P,) of ||v||^2, in one pass.
@@ -207,42 +234,6 @@ class _GramFactor:
         return s1, s2, sn
 
 
-@dataclass(eq=False)
-class ChannelMoments:
-    """Ensemble averages feeding the SINR coefficients, tagged with the power
-    vector the combiners were built for. Only the filled (k, l) pairs hold
-    values; the others read 0. From channel_moments no pair is filled, and
-    fill computes the pairs a caller needs; built from explicit arrays, every
-    pair is filled."""
-
-    g1: np.ndarray        # (K, L) complex, E[v_kl^H h_kl]
-    g2: np.ndarray        # (K, K, L) real, E[|v_kl^H h_il|^2]
-    gn: np.ndarray        # (K, L) real, E[||v_kl||^2]
-    n_samples: int
-    power: np.ndarray     # (K,)
-    filled: np.ndarray = None                     # (K, L) bool
-    factor: _GramFactor = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.filled is None:
-            self.filled = np.ones(self.g1.shape, dtype=bool)
-
-    def fill(self, mask) -> None:
-        """Compute and memoize the moments of every (k, l) pair where mask is
-        true. Filled pairs keep their values, so a pair reads the same bits
-        for the life of the object. Only the new pairs are reduced, listed
-        by O-RU, then by UAV."""
-        ls, ks = np.nonzero((np.asarray(mask, dtype=bool) & ~self.filled).T)
-        if ls.size == 0:
-            return
-        s1, s2, sn = self.factor.reduce(ks, ls)
-        t_num = self.n_samples
-        self.g1[ks, ls] = s1 / t_num
-        self.g2[ks, :, ls] = s2 / t_num
-        self.gn[ks, ls] = sn / t_num
-        self.filled[ks, ls] = True
-
-
 def channel_moments(h: np.ndarray, est: EstimationResult, powers,
                     sigma2: float, features: np.ndarray = None
                     ) -> ChannelMoments:
@@ -251,22 +242,22 @@ def channel_moments(h: np.ndarray, est: EstimationResult, powers,
     factored here, once, over all T in one pass over the solver layout of
     h_hat; ChannelMoments.fill then solves and reduces only the (k, l) pairs
     it is asked for. features is the trial's f(h) as an earlier call on the
-    same h built it (factor.features); without it f(h) is built here. Every
-    fill runs in fixed realization order, so its sums do not depend on
-    caller parallelism."""
+    same h built it (ChannelMoments.features); without it f(h) is built
+    here. Every fill runs in fixed realization order, so its sums do not
+    depend on caller parallelism."""
     powers = np.asarray(powers, dtype=float)
-    t_num, k_num, l_num, _ = h.shape
+    _, k_num, l_num, _ = h.shape
     h = solver_layout(h)
     h_hat = solver_layout(est.h_hat)
     if features is None:
         features = _channel_features(h)
+    # factor first: the memo is not yet live beside the factor's temporaries
     c = _gram_cholesky(h_hat, _base_gram(est, powers, sigma2), powers)
     return ChannelMoments(
         g1=np.zeros((k_num, l_num), dtype=complex),
         g2=np.zeros((k_num, k_num, l_num)), gn=np.zeros((k_num, l_num)),
-        n_samples=t_num, power=powers.copy(),
-        filled=np.zeros((k_num, l_num), dtype=bool),
-        factor=_GramFactor(h, h_hat, features, c))
+        filled=np.zeros((k_num, l_num), dtype=bool), h=h, h_hat=h_hat,
+        features=features, c=c)
 
 
 @dataclass(frozen=True)

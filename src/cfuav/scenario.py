@@ -43,7 +43,6 @@ class ExperimentConfig:
     shadow_sigma_nlos_db: float = 6.0
     angular_spread_deg_range: tuple = (5.0, 15.0)
     angular_spread_deg_mean: float = 8.0
-    array_azimuth_offset_deg: float = 0.0
     p_max_dbm: float = 23.0
     noise_psd_dbm_hz: float = -174.0
     noise_figure_db: float = 9.0
@@ -72,6 +71,13 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a positive count")
         if self.pilot_len >= self.coherence_len:
             raise ValueError("pilot_len must be smaller than coherence_len")
+        # each O-RU serves at most tau_p UAVs, so no association exists for
+        # more than L * tau_p of them
+        capacity = self.num_orus * self.pilot_len
+        if self.num_uavs > capacity:
+            raise ValueError(
+                f"num_uavs = {self.num_uavs} exceeds num_orus * pilot_len = "
+                f"{self.num_orus} * {self.pilot_len} = {capacity}")
         lo, hi = self.uav_alt_range
         if not (UMA_AV_MIN_HEIGHT < lo <= hi <= UMA_AV_MAX_HEIGHT):
             raise ValueError(

@@ -20,9 +20,8 @@ def test_ab_trials_reads_a_tree_against_itself(capsys, monkeypatch):
         assert f"\n{label} " in out
     assert "decisions: 0 mismatches" in out
     assert "min_se: identical 18/18," in out
-    # the untimed tracemalloc pass; allocations repeat exactly, faults need not
+    # the untimed tracemalloc pass; allocations repeat exactly
     assert "\nmemory per desk trial, median over 3 (tracemalloc on)\n" in out
     assert "\ntraced peak   parent " in out
     peak_line = out.split("\ntraced peak ")[1].splitlines()[0]
     assert peak_line.endswith("ratio 1.000")
-    assert "\nminor faults  parent " in out

@@ -15,7 +15,7 @@ def test_help_exits_zero(capsys):
 def test_end_to_end_run(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("num_orus = 6\nantennas_per_oru = 2\npilot_len = 3\n"
-                   "n_channel_realizations = 40\n")
+                   "num_uavs = 4\nn_channel_realizations = 40\n")
     out = tmp_path / "res.csv"
     code = main(["--config", str(cfg), "--trials", "2", "--seed", "5",
                  "--uavs", "3,4", "--schemes", "BA+FP,PA+PP",
@@ -73,7 +73,7 @@ def test_uav_count_above_pilot_capacity_fails_before_any_trial(tmp_path, capsys)
                  "--schemes", "BA+FP", "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "error:" in err and "[130]" in err and "125" in err
+    assert "error:" in err and "num_uavs = 130" in err and "125" in err
     assert not out.exists()
 
 

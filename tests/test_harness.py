@@ -128,7 +128,7 @@ def test_prepare_trial_prefills_baseline_association(monkeypatch):
     def no_fill(*args):
         raise AssertionError("BA association filled a new pair")
 
-    monkeypatch.setattr(receiver._GramFactor, "reduce", no_fill)
+    monkeypatch.setattr(receiver.ChannelMoments, "_reduce", no_fill)
     evaluate_association(data.moments_full, a, data.beta, data.sigma2,
                          full_power(cfg.num_uavs, cfg.p_max_w), cfg)
     np.testing.assert_array_equal(data.moments_full.filled, a != 0)

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from cfuav import orchestrator
 from cfuav.association import baseline_association
 from cfuav.harness import prepare_trial
 from cfuav.orchestrator import (ALL_SCHEMES, SchemeId, _make_solver,
-                                evaluate_association, moments_at,
-                                parse_scheme, run_scheme)
+                                evaluate_association, parse_scheme,
+                                run_scheme)
 from cfuav.powerctl import bg_fppc, full_power
-from cfuav.receiver import sinr
+from cfuav.receiver import channel_moments, sinr
 
 
 @pytest.fixture(scope="module")
@@ -94,24 +95,32 @@ def test_ao_single_uav_stops_after_two_iterations(tight_config):
     assert it1.objective == pytest.approx(it2.objective, rel=1e-12)
 
 
-def test_moments_at_reads_the_trials_features(trial, tight_config):
-    # f(h) depends on the trial only: moments at another power read the
-    # array the full-power moments built in prepare_trial
-    p = np.linspace(0.2, 1.0, 4) * tight_config.p_max_w
-    m = moments_at(trial, p)
-    assert m is not trial.moments_full
-    np.testing.assert_array_equal(m.power, p)
-    assert np.shares_memory(m.factor.features,
-                            trial.moments_full.factor.features)
+def test_later_rounds_read_the_trials_features(trial, tight_config,
+                                               monkeypatch):
+    # the first round reads the full-power moments of prepare_trial; each
+    # later round builds the moments of its powers over the same f(h)
+    calls = []
+    build = orchestrator.channel_moments
+
+    def recorded(h, est, powers, sigma2, features=None):
+        calls.append((powers.copy(), features))
+        return build(h, est, powers, sigma2, features)
+
+    monkeypatch.setattr(orchestrator, "channel_moments", recorded)
+    res = run_scheme(SchemeId("PA", "PP"), trial, tight_config)
+    assert res.trace.count >= 2
+    assert len(calls) == res.trace.count - 1
+    for (powers, features), it in zip(calls, res.trace.iterations):
+        np.testing.assert_array_equal(powers, it.power)
+        assert features is trial.moments_full.features
 
 
 def test_ao_power_step_locally_optimal(tight_config, trial):
     res = run_scheme(SchemeId("PA", "PP"), trial, tight_config)
-    moments = moments_at(trial, res.trace.iterations[-1].power)
     # rebuild the coefficients the final power step saw
     prev_p = (full_power(4, tight_config.p_max_w) if res.trace.count == 1
               else res.trace.iterations[-2].power)
-    moments = moments_at(trial, prev_p)
+    moments = channel_moments(trial.h, trial.est, prev_p, trial.sigma2)
     coef, _ = evaluate_association(moments, res.trace.iterations[-1].association,
                                    trial.beta, trial.sigma2, prev_p,
                                    tight_config)
@@ -142,7 +151,7 @@ def test_every_scheme_shares_its_first_round(trial, tight_config):
     # the first round starts at full power: PP's first step solves the
     # full-power coefficients of the association FP keeps
     p_full = full_power(4, tight_config.p_max_w)
-    coef, _ = evaluate_association(moments_at(trial, p_full), pa_fp.association,
+    coef, _ = evaluate_association(trial.moments_full, pa_fp.association,
                                    trial.beta, trial.sigma2, p_full,
                                    tight_config)
     fp = _make_solver("FP", tight_config)(coef)

@@ -156,7 +156,7 @@ def test_path_loss_rejects_nonpositive_distance():
     g = geom_of([(100, 0, 50)], [(0, 0, 25)])
     bad = LinkGeometry(d_2d=g.d_2d, d_3d=np.zeros_like(g.d_3d),
                        elevation=g.elevation, azimuth=g.azimuth,
-                       uav_height=g.uav_height, oru_height=g.oru_height)
+                       uav_height=g.uav_height)
     with pytest.raises(ValueError):
         path_loss_db(bad, True, 2.6)
 

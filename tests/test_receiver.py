@@ -50,6 +50,14 @@ def solved_combiners(est, powers, sigma2):
     return v.transpose(2, 3, 0, 1)
 
 
+def hand_moments(g1, g2, gn):
+    """ChannelMoments that hold the given values with every pair filled, so
+    no fill reads the ensemble, which they do not have."""
+    return ChannelMoments(g1=g1, g2=g2, gn=gn,
+                          filled=np.ones(np.shape(g1), dtype=bool),
+                          h=None, h_hat=None, features=None, c=None)
+
+
 def filled_moments(h, est, powers, sigma2):
     """channel_moments with every (k, l) pair filled."""
     m = channel_moments(h, est, powers, sigma2)
@@ -139,19 +147,17 @@ def test_association_gating_equivalence():
     # the same row evaluated over its serving set only
     r = rng(3)
     k, l = 3, 4
-    moments = ChannelMoments(
+    moments = hand_moments(
         g1=r.standard_normal((k, l)) + 1j * r.standard_normal((k, l)),
-        g2=r.uniform(0.1, 1.0, (k, k, l)), gn=r.uniform(0.1, 1.0, (k, l)),
-        n_samples=100, power=np.ones(k))
+        g2=r.uniform(0.1, 1.0, (k, k, l)), gn=r.uniform(0.1, 1.0, (k, l)))
     beta = r.uniform(0.5, 2.0, (k, l))
     a_full = np.ones((k, l), dtype=int)
     a_gated = a_full.copy()
     a_gated[:, 2:] = 0
     coef_gated = assemble_coefficients(moments, cpu_weights(a_gated, beta), 0.1)
     beta_sub = beta.copy()
-    moments_sub = ChannelMoments(g1=moments.g1[:, :2], g2=moments.g2[..., :2],
-                                 gn=moments.gn[:, :2], n_samples=100,
-                                 power=np.ones(k))
+    moments_sub = hand_moments(g1=moments.g1[:, :2], g2=moments.g2[..., :2],
+                               gn=moments.gn[:, :2])
     coef_sub = assemble_coefficients(moments_sub,
                                      cpu_weights(a_gated[:, :2], beta_sub[:, :2]),
                                      0.1)
@@ -163,9 +169,9 @@ def test_association_gating_equivalence():
 def test_unserved_uav_flagged_by_zero_gain():
     r = rng(4)
     k, l = 2, 2
-    moments = ChannelMoments(
+    moments = hand_moments(
         g1=np.ones((k, l), complex), g2=r.uniform(0.1, 1.0, (k, k, l)),
-        gn=np.ones((k, l)), n_samples=10, power=np.ones(k))
+        gn=np.ones((k, l)))
     a = np.array([[1, 1], [0, 0]])
     coef = assemble_coefficients(moments, cpu_weights(a, np.ones((k, l))), 0.1)
     assert coef.a[1] == 0.0
@@ -176,10 +182,9 @@ def test_unserved_uav_flagged_by_zero_gain():
 def test_variance_clamp_counted_on_served_pairs_only():
     # both pairs of UAV 0 have a negative variance estimate; only the served
     # one reaches d, so only it is counted
-    moments = ChannelMoments(g1=np.full((1, 2), 2.0 + 0j),
-                             g2=np.full((1, 1, 2), 3.9),  # below |g1|^2 = 4
-                             gn=np.ones((1, 2)), n_samples=10,
-                             power=np.ones(1))
+    moments = hand_moments(g1=np.full((1, 2), 2.0 + 0j),
+                           g2=np.full((1, 1, 2), 3.9),  # below |g1|^2 = 4
+                           gn=np.ones((1, 2)))
     served = np.array([[1, 0]])
     coef = assemble_coefficients(moments, cpu_weights(served, np.ones((1, 2))),
                                  0.1)
@@ -192,10 +197,9 @@ def test_variance_clamp_counted_on_served_pairs_only():
 
 def test_variance_clamp_counted():
     k, l = 1, 1
-    moments = ChannelMoments(g1=np.array([[2.0 + 0j]]),
-                             g2=np.array([[[3.9]]]),  # below |g1|^2 = 4
-                             gn=np.ones((k, l)), n_samples=10,
-                             power=np.ones(k))
+    moments = hand_moments(g1=np.array([[2.0 + 0j]]),
+                           g2=np.array([[[3.9]]]),  # below |g1|^2 = 4
+                           gn=np.ones((k, l)))
     coef = assemble_coefficients(moments, cpu_weights(np.ones((1, 1)),
                                                       np.ones((1, 1))), 0.1)
     assert coef.clamp_count == 1
@@ -231,7 +235,7 @@ def test_estimate_sinr_coefficients_matches_fused_path():
     a = np.ones((k, l), dtype=int)
     w = cpu_weights(a, r.uniform(0.5, 1.5, (k, l)))
     v = oracle_combiners(est, p, sigma2)
-    coef1 = assemble_coefficients(moments_of(h, v, p), w, sigma2)
+    coef1 = assemble_coefficients(moments_of(h, v), w, sigma2)
     coef2 = assemble_coefficients(channel_moments(h, est, p, sigma2), w, sigma2)
     np.testing.assert_allclose(coef1.a, coef2.a, rtol=1e-12)
     np.testing.assert_allclose(coef1.d, coef2.d, rtol=1e-10, atol=1e-18)
@@ -262,7 +266,7 @@ def test_mr_combining_matches_closed_form_coefficients():
     est = simulate_pilot_and_estimate(h, assignment, stats, sigma2, rng(22))
     p = np.full(k_num, 0.2)
     weights = cpu_weights(np.ones((k_num, 1)), np.ones((k_num, 1)))
-    coef = assemble_coefficients(moments_of(h, est.h_hat, p), weights, sigma2)
+    coef = assemble_coefficients(moments_of(h, est.h_hat), weights, sigma2)
     for k in range(k_num):
         c_hat = est.c_hat[k, 0]
         tr_hat = np.trace(c_hat).real
@@ -346,12 +350,10 @@ def oracle_moments(h, v):
             np.einsum("tkln->kl", np.abs(v) ** 2) / t)
 
 
-def moments_of(h, v, powers):
+def moments_of(h, v):
     """ChannelMoments of explicit combiners v (T, K, L, N), reduced by the
     oracle."""
-    g1, g2, gn = oracle_moments(h, v)
-    return ChannelMoments(g1=g1, g2=g2, gn=gn, n_samples=h.shape[0],
-                          power=np.asarray(powers, dtype=float))
+    return hand_moments(*oracle_moments(h, v))
 
 
 def assert_moments_close(m, g1, g2, gn):
@@ -383,8 +385,6 @@ def test_channel_moments_match_oracle(n, k):
     sigma2 = 0.2
     m = filled_moments(h, est, p, sigma2)
     assert_moments_close(m, *oracle_moments(h, oracle_combiners(est, p, sigma2)))
-    np.testing.assert_array_equal(m.power, p)
-    assert m.n_samples == 45
 
 
 def test_channel_moments_match_oracle_on_desk_trial():
@@ -466,7 +466,7 @@ def test_memoized_fills_match_dense_oracle(n):
 
 def test_fill_reduces_exactly_its_new_pairs(monkeypatch):
     # O-RU 1 gets 4 new pairs, O-RUs 3 and 4 one each, and a memoized pair
-    # of O-RU 3 is asked for again: reduce sees the 6 new pairs, by O-RU,
+    # of O-RU 3 is asked for again: _reduce sees the 6 new pairs, by O-RU,
     # then by UAV, and no padding rows
     h, est, p = kernel_case(2, 6, l=5, seed=81)
     sigma2 = 0.2
@@ -475,13 +475,13 @@ def test_fill_reduces_exactly_its_new_pairs(monkeypatch):
     mask[2, 3] = True
     m.fill(mask)
     calls = []
-    reduce = receiver._GramFactor.reduce
+    reduce = receiver.ChannelMoments._reduce
 
     def recorded(self, *args):
         calls.append([np.array(a) for a in args])
         return reduce(self, *args)
 
-    monkeypatch.setattr(receiver._GramFactor, "reduce", recorded)
+    monkeypatch.setattr(receiver.ChannelMoments, "_reduce", recorded)
     mask[[0, 2, 3, 5], 1] = True
     mask[1, 3] = mask[4, 4] = True
     m.fill(mask)
@@ -511,13 +511,16 @@ def test_fill_keeps_memoized_values():
 def test_memoized_fills_match_dense_oracle_on_desk_trial():
     from cfuav.association import baseline_association
     from cfuav.harness import prepare_trial
+    from cfuav.powerctl import full_power
     from cfuav.scenario import desk_scale
 
     cfg = desk_scale(num_uavs=10, master_seed=2026)
     data = prepare_trial(cfg, 0)
     ba = baseline_association(data.beta, cfg.pilot_len, cfg.n_top) != 0
     full = data.moments_full
-    dense = dense_block_moments(data.h, data.est, full.power, data.sigma2)
+    dense = dense_block_moments(data.h, data.est,
+                                full_power(cfg.num_uavs, cfg.p_max_w),
+                                data.sigma2)
     assert_filled_pairs_match(full, dense, ba)   # prefilled for BA
     mask = ba.copy()
     for flat in rng(12).permutation(np.flatnonzero(~ba))[:6]:

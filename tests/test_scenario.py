@@ -58,6 +58,8 @@ def test_derived_powers():
     dict(area_side_m=float("inf")),
     dict(rician_k_range_db=(0.0, float("inf"))),
     dict(master_seed=-1),                # SeedSequence takes no negative seed
+    dict(num_uavs=101, num_orus=10),     # above L * tau_p = 100 pilot slots
+    dict(num_uavs=2, num_orus=1, pilot_len=1),
 ])
 def test_config_invariants_rejected(bad):
     with pytest.raises(ValueError):
@@ -124,7 +126,7 @@ def test_trial_streams_cover_all_purposes():
 
 
 def test_x_coordinates_uniform_ks():
-    cfg = ExperimentConfig(num_uavs=10_000, num_orus=1)
+    cfg = ExperimentConfig(num_uavs=10_000, num_orus=1000)
     topo = build_topology(cfg, _stream("topology", seed=123))
     x = topo.uav_positions[:, 0] / cfg.area_side_m
     assert scistats.kstest(x, "uniform").pvalue > 0.01
@@ -153,6 +155,16 @@ def test_load_config_rejects_unknown_key(tmp_path):
     path.write_text("frobnicate = 1\n")
     with pytest.raises(ValueError):
         load_config(path)
+
+
+def test_load_config_rejects_uav_count_above_pilot_capacity(tmp_path):
+    # no association serves more UAVs than L * tau_p = 6 * 3 = 18
+    path = tmp_path / "crowded.cfg"
+    path.write_text("num_orus = 6\npilot_len = 3\nnum_uavs = 19\n")
+    with pytest.raises(ValueError, match="exceeds num_orus \\* pilot_len"):
+        load_config(path)
+    path.write_text("num_orus = 6\npilot_len = 3\nnum_uavs = 18\n")
+    assert load_config(path).num_uavs == 18
 
 
 def test_load_config_rejects_garbage_line(tmp_path):

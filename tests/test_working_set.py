@@ -9,8 +9,8 @@ import numpy as np
 from cfuav import propagation
 from cfuav.association import baseline_association
 from cfuav.harness import prepare_trial
-from cfuav.orchestrator import moments_at
 from cfuav.powerctl import full_power
+from cfuav.receiver import channel_moments
 from cfuav.scenario import desk_scale
 
 MB = 1 << 20
@@ -44,9 +44,9 @@ def test_trial_peaks_one_block_above_what_it_keeps():
         before = tracemalloc.get_traced_memory()[0]
         data = prepare_trial(cfg, 0)
         kept, peak = tracemalloc.get_traced_memory()
-        factor = data.moments_full.factor
-        assert kept - before >= (factor.h.nbytes + factor.h_hat.nbytes
-                                 + factor.features.nbytes)
+        full = data.moments_full
+        assert kept - before >= (full.h.nbytes + full.h_hat.nbytes
+                                 + full.features.nbytes)
         assert peak - kept <= 2 * MB
 
         # one AO round's moments at a power other than full, and its fill of
@@ -55,7 +55,8 @@ def test_trial_peaks_one_block_above_what_it_keeps():
         p[::2] *= 0.5
         mask = ba_mask(data, cfg)
         tracemalloc.reset_peak()
-        moments = moments_at(data, p)
+        moments = channel_moments(data.h, data.est, p, data.sigma2,
+                                  full.features)
         moments.fill(mask)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
@@ -74,7 +75,7 @@ def test_block_size_moves_no_value_beyond_rounding(monkeypatch):
     monkeypatch.setattr(propagation, "BLOCK_BYTES", 64 * 1024)
     narrow = prepare_trial(cfg, 0)
     # the narrow target really splits the kernels differently
-    per_oru = wide.moments_full.factor.h[0].nbytes
+    per_oru = wide.moments_full.h[0].nbytes
     assert len(propagation.oru_blocks(cfg.num_orus, per_oru)) == cfg.num_orus
     monkeypatch.undo()
     assert len(propagation.oru_blocks(cfg.num_orus, per_oru)) < cfg.num_orus
@@ -83,12 +84,11 @@ def test_block_size_moves_no_value_beyond_rounding(monkeypatch):
     assert (np.asarray(wide.est.h_hat).tobytes()
             == np.asarray(narrow.est.h_hat).tobytes())
     assert wide.channel_hash == narrow.channel_hash
-    fw, fn = wide.moments_full.factor, narrow.moments_full.factor
-    assert_close(fw.features, fn.features)
-    for row_w, row_n in zip(fw.c, fn.c):
+    mw, mn = wide.moments_full, narrow.moments_full
+    assert_close(mw.features, mn.features)
+    for row_w, row_n in zip(mw.c, mn.c):
         for entry_w, entry_n in zip(row_w, row_n):
             assert_close(entry_w, entry_n)
-    mw, mn = wide.moments_full, narrow.moments_full
     np.testing.assert_array_equal(mw.filled, ba_mask(wide, cfg))
     np.testing.assert_array_equal(mn.filled, mw.filled)
     for name in ("g1", "g2", "gn"):
