@@ -6,7 +6,7 @@ from dataclasses import replace
 
 from .harness import dump_links, run_monte_carlo, sibling_path, write_results
 from .orchestrator import ALL_SCHEMES, parse_scheme
-from .scenario import ExperimentConfig, desk_scale, load_config
+from .scenario import DESK_PRESET, ExperimentConfig, load_config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,19 +39,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else ExperimentConfig()
-        if args.desk_scale:
-            config = desk_scale(config)
-        if args.seed is not None:
-            config = replace(config, master_seed=args.seed)
-        if args.trials is not None:
-            config = replace(config, trials=args.trials)
         uav_counts = ([int(x) for x in args.uavs.split(",") if x.strip()]
-                      if args.uavs else [config.num_uavs])
+                      if args.uavs else None)
         schemes = ([parse_scheme(s) for s in args.schemes.split(",") if s.strip()]
                    if args.schemes else list(ALL_SCHEMES))
-        if not uav_counts or not schemes:
+        if uav_counts == [] or not schemes:
             raise ValueError("--uavs and --schemes need at least one item")
+        # flags replace the file's values before the one config is built and
+        # checked: the desk preset, then --seed, --trials and the first count
+        overrides = dict(DESK_PRESET) if args.desk_scale else {}
+        if args.seed is not None:
+            overrides["master_seed"] = args.seed
+        if args.trials is not None:
+            overrides["trials"] = args.trials
+        if uav_counts:
+            overrides["num_uavs"] = uav_counts[0]
+        config = (load_config(args.config, **overrides) if args.config
+                  else ExperimentConfig(**overrides))
+        uav_counts = uav_counts or [config.num_uavs]
 
         # build (and so validate) every per-K config before the first trial
         configs = [replace(config, num_uavs=k) for k in uav_counts]

@@ -142,7 +142,11 @@ def run_scheme(scheme: SchemeId, trial: TrialData,
     the other schemes run one round and return an empty trace. The
     association stage is a heuristic, so the objective is not guaranteed
     monotone across rounds; the best round seen is returned, which makes the
-    returned objective non-decreasing in the round count."""
+    returned objective non-decreasing in the round count.
+
+    trial must come from harness.prepare_trial with the K and p_max_dbm of
+    config: the first round takes trial.moments_full as the moments of
+    full_power(K, config.p_max_w) and does not check it."""
     solve = _make_solver(scheme.power, config)
     p = full_power(trial.beta.shape[0], config.p_max_w)
     trace = AoTrace(terminated_by="max-iters")

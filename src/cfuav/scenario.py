@@ -135,13 +135,14 @@ _FLOAT_FIELDS = _fields_of_type(float)
 _TUPLE_FIELDS = _fields_of_type(tuple)
 
 
+DESK_PRESET = dict(num_orus=25, antennas_per_oru=2, pilot_len=5, trials=50)
+
+
 def desk_scale(config: ExperimentConfig | None = None, **overrides) -> ExperimentConfig:
     """Small preset (25 dual-antenna O-RUs, 5 pilots, 50 trials) that runs the
     whole pipeline in minutes on a laptop."""
     base = config if config is not None else ExperimentConfig()
-    preset = dict(num_orus=25, antennas_per_oru=2, pilot_len=5, trials=50)
-    preset.update(overrides)
-    return replace(base, **preset)
+    return replace(base, **{**DESK_PRESET, **overrides})
 
 
 def trial_streams(config: ExperimentConfig, trial_index: int) -> dict:
@@ -198,11 +199,13 @@ def _parse_value(name: str, raw: str):
     return float(raw)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, **overrides) -> ExperimentConfig:
     """Read a flat key=value config file. Unknown keys are an error; unset
-    keys keep their defaults. '#' starts a comment."""
+    keys keep their defaults. '#' starts a comment. Keyword overrides replace
+    the file's values before the config is built, so the checks see the
+    config that runs."""
     known = {f.name for f in fields(ExperimentConfig)}
-    overrides = {}
+    settings = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -214,5 +217,5 @@ def load_config(path) -> ExperimentConfig:
             key = key.strip()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            overrides[key] = _parse_value(key, value)
-    return ExperimentConfig(**overrides)
+            settings[key] = _parse_value(key, value)
+    return ExperimentConfig(**{**settings, **overrides})

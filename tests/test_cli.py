@@ -15,7 +15,7 @@ def test_help_exits_zero(capsys):
 def test_end_to_end_run(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("num_orus = 6\nantennas_per_oru = 2\npilot_len = 3\n"
-                   "num_uavs = 4\nn_channel_realizations = 40\n")
+                   "n_channel_realizations = 40\n")
     out = tmp_path / "res.csv"
     code = main(["--config", str(cfg), "--trials", "2", "--seed", "5",
                  "--uavs", "3,4", "--schemes", "BA+FP,PA+PP",
@@ -75,6 +75,23 @@ def test_uav_count_above_pilot_capacity_fails_before_any_trial(tmp_path, capsys)
     err = capsys.readouterr().err
     assert "error:" in err and "num_uavs = 130" in err and "125" in err
     assert not out.exists()
+
+
+def test_flags_replace_file_values_before_the_config_check(tmp_path,
+                                                          monkeypatch):
+    # alone, this file holds 4 * 10 = 40 slots for its default 50 UAVs; the
+    # desk preset (25 * 5 = 125 slots) and --uavs replace it before any check
+    runs = []
+    monkeypatch.setattr(cli, "run_monte_carlo",
+                        lambda config, schemes, n_jobs=1: (runs.append(config)
+                                                           or ([], [])))
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("num_orus = 4\n")
+    code = main(["--config", str(cfg), "--desk-scale", "--uavs", "60,120",
+                 "--schemes", "BA+FP", "--out", str(tmp_path / "x.csv")])
+    assert code == 0
+    assert [(c.num_orus, c.pilot_len, c.num_uavs) for c in runs] == [
+        (25, 5, 60), (25, 5, 120)]
 
 
 def test_bad_uav_count_fails_before_any_trial(tmp_path, capsys, monkeypatch):

@@ -167,6 +167,17 @@ def test_load_config_rejects_uav_count_above_pilot_capacity(tmp_path):
     assert load_config(path).num_uavs == 18
 
 
+def test_load_config_overrides_apply_before_the_checks(tmp_path):
+    # the file alone fails (default 50 UAVs > 6 * 3 slots); an override that
+    # fits is checked in its place, and overrides win over the file
+    path = tmp_path / "small.cfg"
+    path.write_text("num_orus = 6\npilot_len = 3\ntrials = 9\n")
+    with pytest.raises(ValueError, match="num_uavs = 50"):
+        load_config(path)
+    cfg = load_config(path, num_uavs=4, trials=2)
+    assert (cfg.num_orus, cfg.pilot_len, cfg.num_uavs, cfg.trials) == (6, 3, 4, 2)
+
+
 def test_load_config_rejects_garbage_line(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("num_orus 25\n")
