@@ -4,8 +4,9 @@ Three stages build the association matrix A (K x L, binary): every UAV first
 grabs its strongest O-RU, idle O-RU capacity is then handed to the strongest
 nearby UAVs, and finally UAVs still missing their SE target greedily add
 serving O-RUs. The baseline (BA) is the first two stages, which read beta
-only; the proposed association (PA) is stage 3 run from a BA start, which the
-caller builds once and may refine at several power vectors.
+only; the proposed association (PA, propose_association) is stage 3 and the
+same validation, run from a BA start that the caller builds once and may
+refine at several power vectors.
 
 Constraints enforced throughout: every row sums to >= 1 (each UAV served) and
 every column sums to <= tau_p (pilot-limited O-RU capacity). Ties are broken
@@ -77,14 +78,16 @@ def stage2_oru_centric(a: np.ndarray, beta: np.ndarray, tau_p: int,
     return a
 
 
-def stage3_qos_refinement(a: np.ndarray, beta: np.ndarray, tau_p: int,
-                          se_min: float, evaluate_se) -> np.ndarray:
-    """Give UAVs below the SE target extra serving O-RUs, strongest first.
+def propose_association(start: np.ndarray, beta: np.ndarray, tau_p: int,
+                        se_min: float, evaluate_se) -> np.ndarray:
+    """Stage 3 from a baseline start: give UAVs below the SE target extra
+    serving O-RUs, strongest first.
 
     Each violator tries up to ceil(L/2) candidates; a candidate at capacity
     is skipped but still spends one attempt. SE is re-evaluated through the
-    callback after every addition."""
-    a = np.asarray(a, dtype=int).copy()
+    callback after every addition. The result satisfies the connectivity
+    and capacity constraints or validation raises."""
+    a = np.asarray(start, dtype=int).copy()
     beta = np.asarray(beta, dtype=float)
     num_orus = beta.shape[1]
     load = a.sum(axis=0)
@@ -101,14 +104,6 @@ def stage3_qos_refinement(a: np.ndarray, beta: np.ndarray, tau_p: int,
                 a[k, l] = 1
                 load[l] += 1
                 se = np.asarray(evaluate_se(a).se)
-    return a
-
-
-def propose_association(start: np.ndarray, beta: np.ndarray, tau_p: int,
-                        se_min: float, evaluate_se) -> np.ndarray:
-    """Stage 3 from a baseline start; the result satisfies the connectivity
-    and capacity constraints or validation raises."""
-    a = stage3_qos_refinement(start, beta, tau_p, se_min, evaluate_se)
     validate_association(a, tau_p)
     return a
 

@@ -53,14 +53,10 @@ CSV_COLUMNS = tuple("K" if f.name == "num_uavs" else f.name
                     for f in fields(MetricsRecord))
 
 
-def _se_array(se) -> np.ndarray:
-    return np.asarray(getattr(se, "se", se), dtype=float)
-
-
-def jain_fairness(se) -> float:
+def jain_fairness(se: np.ndarray) -> float:
     """Jain index of the SE allocation, in percent. All-zero vectors count as
     perfectly uniform (100)."""
-    x = _se_array(se)
+    x = np.asarray(se, dtype=float)
     if x.size < 1:
         raise ValueError("need at least one UAV")
     total_sq = float(np.sum(x)) ** 2
@@ -72,16 +68,16 @@ def jain_fairness(se) -> float:
     return min(100.0, 100.0 * total_sq / denom)
 
 
-def success_rate(se, se_min: float) -> float:
+def success_rate(se: np.ndarray, se_min: float) -> float:
     """Percentage of UAVs meeting the SE target (boundary counts as success)."""
     if se_min < 0:
         raise ValueError("se_min must be non-negative")
-    x = _se_array(se)
+    x = np.asarray(se, dtype=float)
     return 100.0 * float(np.count_nonzero(x >= se_min)) / x.size
 
 
-def min_se(se) -> float:
-    x = _se_array(se)
+def min_se(se: np.ndarray) -> float:
+    x = np.asarray(se, dtype=float)
     if x.size < 1:
         raise ValueError("empty SE vector")
     return float(np.min(x))
@@ -147,11 +143,11 @@ def run_trial(config: ExperimentConfig, trial_index: int, schemes):
         result = run_scheme(scheme, data, config)
         runtime = time.perf_counter() - t0
         results[scheme.label] = result
+        se = result.se.se
         records.append(MetricsRecord(
             trial=trial_index, scheme=scheme.label, num_uavs=config.num_uavs,
-            min_se=min_se(result.se), success_rate=success_rate(result.se,
-                                                                config.se_min),
-            jain_fairness=jain_fairness(result.se), runtime_s=runtime,
+            min_se=min_se(se), success_rate=success_rate(se, config.se_min),
+            jain_fairness=jain_fairness(se), runtime_s=runtime,
             ao_iterations=result.trace.count,
             fp_iterations_total=result.fp_iterations,
             channel_hash=data.channel_hash))

@@ -90,11 +90,10 @@ def _make_solver(power_rule: str, config: ExperimentConfig):
                                     eps_fp=config.eps_fp,
                                     n_max_fp=config.n_max_fp,
                                     gamma_floor=floor)
-    if power_rule == "TP":
-        return lambda coef: reference_max_min(coef, config.p_max_w,
-                                              tol=config.eps_bisect,
-                                              gamma_floor=floor)
-    raise ValueError(f"no solver for power rule {power_rule!r}")
+    # "TP": SchemeId rejects every other rule
+    return lambda coef: reference_max_min(coef, config.p_max_w,
+                                          tol=config.eps_bisect,
+                                          gamma_floor=floor)
 
 
 @dataclass
@@ -118,14 +117,12 @@ class AoTrace:
 
 @dataclass
 class SchemeResult:
-    scheme: SchemeId
     association: np.ndarray
     power: np.ndarray
     se: SeVector
     trace: AoTrace
     gamma_star: float
     fp_iterations: int = 0
-    bisect_iterations: int = 0
 
 
 def run_scheme(scheme: SchemeId, trial: TrialData,
@@ -151,7 +148,6 @@ def run_scheme(scheme: SchemeId, trial: TrialData,
     p = full_power(trial.beta.shape[0], config.p_max_w)
     trace = AoTrace(terminated_by="max-iters")
     fp_total = 0
-    bisect_total = 0
     prev_obj = None
     start = baseline_association(trial.beta, config.pilot_len, config.n_top)
     for i in range(config.i_max_ao if scheme.uses_ao else 1):
@@ -164,8 +160,8 @@ def run_scheme(scheme: SchemeId, trial: TrialData,
                 start, trial.beta, config.pilot_len, config.se_min,
                 evaluate_se=lambda a: evaluate_association(
                     moments, a, trial.beta, trial.sigma2, p, config)[1])
-        coef, _ = evaluate_association(moments, a, trial.beta, trial.sigma2,
-                                       p, config)
+        coef = assemble_coefficients(moments, cpu_weights(a, trial.beta),
+                                     trial.sigma2)
         res = solve(coef)
         p_new = res.p_star
         gam = sinr(coef, p_new)
@@ -175,15 +171,13 @@ def run_scheme(scheme: SchemeId, trial: TrialData,
                                             power=p_new.copy(),
                                             gamma_star=res.gamma_star, se=sev))
         fp_total += res.fp_iterations
-        bisect_total += res.bisect_iterations
         if prev_obj is not None and obj - prev_obj < config.eps_ao:
             trace.terminated_by = "tolerance"
             break
         prev_obj = obj
         p = p_new
     best = max(trace.iterations, key=lambda it: it.objective)
-    return SchemeResult(scheme=scheme, association=best.association,
-                        power=best.power, se=best.se,
+    return SchemeResult(association=best.association, power=best.power,
+                        se=best.se,
                         trace=trace if scheme.uses_ao else AoTrace(),
-                        gamma_star=best.gamma_star, fp_iterations=fp_total,
-                        bisect_iterations=bisect_total)
+                        gamma_star=best.gamma_star, fp_iterations=fp_total)

@@ -61,13 +61,12 @@ def assign_pilots_random(num_uavs: int, tau_p: int,
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Channel estimates for a whole realization ensemble plus the per-link
-    second-order estimation quantities."""
+    """Channel estimates for a whole realization ensemble and the per-link
+    MMSE covariance split C = c_hat (estimate) + c_err (estimation error)."""
 
     h_hat: np.ndarray   # (T, K, L, N)
     c_hat: np.ndarray   # (K, L, N, N)
     c_err: np.ndarray   # (K, L, N, N)
-    psi: np.ndarray     # (K, L, N, N)
 
 
 def _estimation_matrices(assignment: PilotAssignment, stats: ChannelStats,
@@ -125,9 +124,9 @@ def simulate_pilot_and_estimate(h: np.ndarray, assignment: PilotAssignment,
     y += complex_normal_layout(noise, math.sqrt(tau * sigma2 / 2.0))
     del noise                   # freed before the estimates are allocated
     y -= y_mean
-    psi, w, c_hat, c_err = _estimation_matrices(assignment, stats, sigma2)
+    _, w, c_hat, c_err = _estimation_matrices(assignment, stats, sigma2)
     # each UAV reads its pilot's observation, gathered one block at a time
     h_hat = link_affine(
         stats.mean_vec, w,
         lambda sl: np.take(y[sl], assignment.pilot_of, axis=-1), t_num)
-    return EstimationResult(h_hat=h_hat, c_hat=c_hat, c_err=c_err, psi=psi)
+    return EstimationResult(h_hat=h_hat, c_hat=c_hat, c_err=c_err)

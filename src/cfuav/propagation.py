@@ -161,7 +161,7 @@ def spatial_correlation(geom: LinkGeometry, angular_spread_deg,
 
     Entry (m, n) is exp(j*pi*(m-n)*sin(phi)) damped by a Gaussian in the
     antenna offset; the nominal angle phi is the link's geometric direction.
-    Trace-normalized to N, Hermitian PSD by construction."""
+    Unit diagonal, Hermitian PSD: the phase is odd, the damping even in m-n."""
     spread = np.asarray(angular_spread_deg, dtype=float)
     if np.any(spread <= 0):
         raise ValueError("angular spread must be positive")
@@ -173,10 +173,7 @@ def spatial_correlation(geom: LinkGeometry, angular_spread_deg,
     phase = np.exp(1j * math.pi * diff * omega[..., None, None])
     damp = np.exp(-0.5 * (math.pi * diff
                           * (sigma_phi * cos_phi)[..., None, None]) ** 2)
-    corr = phase * damp
-    corr = 0.5 * (corr + np.conj(corr).swapaxes(-1, -2))
-    trace = np.real(np.einsum("...nn->...", corr))
-    return corr * (n_antennas / trace)[..., None, None]
+    return phase * damp
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import numpy as np
 # UMa-AV formulas are specified for UAV heights in this band (meters).
 UMA_AV_MIN_HEIGHT = 22.5
 UMA_AV_MAX_HEIGHT = 300.0
+ORU_HEIGHT_M = 25.0  # the base-station height UMa-AV path loss and LoS assume
 
 # One independent random stream per (trial, purpose) pair.
 STREAM_PURPOSES = (
@@ -34,7 +35,6 @@ class ExperimentConfig:
     antennas_per_oru: int = 4
     num_uavs: int = 50
     uav_alt_range: tuple = (50.0, 150.0)
-    oru_height_m: float = 25.0
     carrier_freq_ghz: float = 2.6
     coherence_len: int = 200
     pilot_len: int = 10
@@ -83,8 +83,8 @@ class ExperimentConfig:
             raise ValueError(
                 "uav_alt_range must lie within the UMa-AV band "
                 f"({UMA_AV_MIN_HEIGHT}, {UMA_AV_MAX_HEIGHT}] m")
-        for name in ("area_side_m", "oru_height_m", "carrier_freq_ghz",
-                     "bandwidth_hz", "eps_ao", "eps_bisect", "eps_fp"):
+        for name in ("area_side_m", "carrier_freq_ghz", "bandwidth_hz",
+                     "eps_ao", "eps_bisect", "eps_fp"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not self.se_min >= 0:
@@ -163,23 +163,15 @@ class Topology:
     oru_positions: np.ndarray
     uav_positions: np.ndarray
 
-    @property
-    def num_orus(self) -> int:
-        return self.oru_positions.shape[0]
-
-    @property
-    def num_uavs(self) -> int:
-        return self.uav_positions.shape[0]
-
 
 def build_topology(config: ExperimentConfig,
                    rng: np.random.Generator) -> Topology:
     """Drop O-RUs and UAVs uniformly over the coverage square, drawing from
-    rng (a trial's "topology" stream); O-RUs sit at the configured mast
-    height, UAV altitudes are uniform over their range."""
+    rng (a trial's "topology" stream); O-RUs sit at ORU_HEIGHT_M, UAV
+    altitudes are uniform over their range."""
     side = config.area_side_m
     oru_xy = rng.uniform(0.0, side, size=(config.num_orus, 2))
-    oru_z = np.full((config.num_orus, 1), config.oru_height_m)
+    oru_z = np.full((config.num_orus, 1), ORU_HEIGHT_M)
     uav_xy = rng.uniform(0.0, side, size=(config.num_uavs, 2))
     lo, hi = config.uav_alt_range
     uav_z = rng.uniform(lo, hi, size=(config.num_uavs, 1))

@@ -6,7 +6,7 @@ import pytest
 from cfuav.association import (AssociationInfeasibleError,
                                baseline_association, propose_association,
                                stage1_uav_centric, stage2_oru_centric,
-                               stage3_qos_refinement, validate_association)
+                               validate_association)
 from cfuav.receiver import SeVector
 
 
@@ -94,8 +94,8 @@ def test_stage2_respects_capacity():
 def test_stage3_no_violators_is_identity():
     beta = np.array([[2.0, 1.0], [1.0, 2.0]])
     a = np.eye(2, dtype=int)
-    out = stage3_qos_refinement(a, beta, tau_p=2, se_min=1.0,
-                                evaluate_se=always(np.array([2.0, 2.0])))
+    out = propose_association(a, beta, tau_p=2, se_min=1.0,
+                              evaluate_se=always(np.array([2.0, 2.0])))
     np.testing.assert_array_equal(out, a)
 
 
@@ -109,7 +109,7 @@ def test_stage3_attempt_budget_is_half_the_orus():
         calls.append(mat.copy())
         return SeVector(se=np.array([0.1]), sinr=np.array([0.01]))
 
-    out = stage3_qos_refinement(a, beta, tau_p=4, se_min=1.0, evaluate_se=evaluate)
+    out = propose_association(a, beta, tau_p=4, se_min=1.0, evaluate_se=evaluate)
     np.testing.assert_array_equal(out, [[1, 1, 1, 0]])
     assert len(calls) == 3  # initial evaluation + one per addition
 
@@ -122,7 +122,7 @@ def test_stage3_stops_after_first_successful_addition():
         se = 2.0 if mat[0].sum() > 1 else 0.1
         return SeVector(se=np.array([se]), sinr=np.array([se]))
 
-    out = stage3_qos_refinement(a, beta, tau_p=4, se_min=1.0, evaluate_se=evaluate)
+    out = propose_association(a, beta, tau_p=4, se_min=1.0, evaluate_se=evaluate)
     np.testing.assert_array_equal(out, [[1, 1, 0, 0]])
 
 
@@ -140,7 +140,7 @@ def test_stage3_skips_full_columns_but_spends_attempts():
         se = np.array([0.1, 2.0, 2.0])
         return SeVector(se=se, sinr=se)
 
-    out = stage3_qos_refinement(a, beta, tau_p=2, se_min=1.0, evaluate_se=evaluate)
+    out = propose_association(a, beta, tau_p=2, se_min=1.0, evaluate_se=evaluate)
     np.testing.assert_array_equal(out[0], [1, 0, 1, 0])
 
 
@@ -148,8 +148,8 @@ def test_stage3_only_adds_links():
     rng = np.random.default_rng(0)
     beta = rng.uniform(0.1, 1.0, (6, 8))
     a = stage2_oru_centric(stage1_uav_centric(beta, 3), beta, 3, 2)
-    out = stage3_qos_refinement(a, beta, tau_p=3, se_min=1.0,
-                                evaluate_se=always(rng.uniform(0, 2, 6)))
+    out = propose_association(a, beta, tau_p=3, se_min=1.0,
+                              evaluate_se=always(rng.uniform(0, 2, 6)))
     assert np.all(out >= a)
 
 

@@ -9,7 +9,6 @@ from cfuav.harness import (MetricsRecord, dump_links, jain_fairness, min_se,
                            run_trial, success_rate, write_results)
 from cfuav.orchestrator import ALL_SCHEMES, SchemeId
 from cfuav.propagation import solver_layout
-from cfuav.receiver import SeVector
 from cfuav.scenario import desk_scale
 
 
@@ -29,11 +28,6 @@ def test_jain_hand_value():
 
 def test_jain_all_zero_is_uniform():
     assert jain_fairness(np.zeros(5)) == 100.0
-
-
-def test_jain_accepts_se_vector():
-    sev = SeVector(se=np.array([2.0, 1.0]), sinr=np.array([3.0, 1.0]))
-    assert jain_fairness(sev) == pytest.approx(90.0)
 
 
 def test_jain_range_property():

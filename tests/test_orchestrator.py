@@ -135,9 +135,9 @@ def test_ao_power_step_locally_optimal(tight_config, trial):
 
 def test_run_scheme_reports_fp_accounting(trial, tight_config):
     pp = run_scheme(SchemeId("BA", "PP"), trial, tight_config)
-    assert pp.fp_iterations > 0 and pp.bisect_iterations > 0
+    assert pp.fp_iterations > 0
     tp = run_scheme(SchemeId("BA", "TP"), trial, tight_config)
-    assert tp.fp_iterations > 0 and tp.bisect_iterations == 0
+    assert tp.fp_iterations > 0
 
 
 def test_every_scheme_shares_its_first_round(trial, tight_config):

@@ -337,7 +337,7 @@ def test_estimate_contamination_cross_covariance(contaminated_ensemble):
     dev0 = est.h_hat[:, 0, 0] - stats.mean_vec[0, 0]
     tilde1 = h[:, 1, 0] - stats.mean_vec[1, 0]
     emp = _emp_cov(dev0, tilde1)
-    psi = est.psi[0, 0]
+    psi = psi_matrix(0, 0, a, stats, SIGMA2)
     theory = (0.2 * a.tau_p ** 2
               * stats.scatter_cov[0, 0] @ np.linalg.solve(psi, stats.scatter_cov[1, 0]))
     assert np.linalg.norm(theory, "fro") > 0.0

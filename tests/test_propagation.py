@@ -237,6 +237,17 @@ def test_correlation_trace_and_psd():
     np.testing.assert_allclose(np.diag(r).real, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_correlation_exactly_hermitian_with_unit_diagonal(n):
+    # the phase is odd and the damping even in m - n, so both hold bit for bit
+    r = rng(n)
+    uavs = np.column_stack([r.uniform(0, 1000, (30, 2)), r.uniform(50, 150, 30)])
+    orus = np.column_stack([r.uniform(0, 1000, (20, 2)), np.full(20, 25.0)])
+    corr = spatial_correlation(geom_of(uavs, orus), r.uniform(0.5, 30, (30, 20)), n)
+    np.testing.assert_array_equal(corr, np.conj(corr).swapaxes(-1, -2))
+    assert np.all(np.diagonal(corr, axis1=-2, axis2=-1) == 1.0)
+
+
 def test_correlation_rank_one_limit():
     g = geom_of([(300, 200, 90)], [(0, 0, 25)])
     r = spatial_correlation(g, 1e-4, 4)[0, 0]

@@ -18,7 +18,7 @@ def est_from(h_hat, c_err=None):
     if c_err is None:
         c_err = np.zeros((k, l, n, n), dtype=complex)
     zeros = np.zeros_like(c_err)
-    return EstimationResult(h_hat=h_hat, c_hat=zeros, c_err=c_err, psi=zeros)
+    return EstimationResult(h_hat=h_hat, c_hat=zeros, c_err=c_err)
 
 
 def deterministic_setup(vectors, t=4):

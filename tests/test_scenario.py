@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as scistats
 
-from cfuav.scenario import (STREAM_PURPOSES, ExperimentConfig,
+from cfuav.scenario import (ORU_HEIGHT_M, STREAM_PURPOSES, ExperimentConfig,
                             build_topology, desk_scale, load_config,
                             trial_streams)
 
@@ -84,7 +84,7 @@ def test_topology_inside_square():
     assert topo.uav_positions.shape == (50, 3)
     for xy in (topo.oru_positions[:, :2], topo.uav_positions[:, :2]):
         assert np.all(xy >= 0.0) and np.all(xy <= 1000.0)
-    assert np.all(topo.oru_positions[:, 2] == cfg.oru_height_m)
+    assert np.all(topo.oru_positions[:, 2] == ORU_HEIGHT_M)
 
 
 def test_topology_altitude_range():
