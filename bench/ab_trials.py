@@ -14,7 +14,10 @@ host's speed phases, which separate processes see as run-to-run spread.
 Prints, per K and over all trials, the median of the per-trial time ratios
 parent/change with their quartiles and the count of trials the change ran
 faster, the ratio of total times, and the same for prepare_trial's share
-(a trial's time outside its schemes' runtime_s). Then a drift check of
+(a trial's time outside its schemes' runtime_s). One line per scheme gives
+its runtime_s: the median in ms on each side and the median of the paired
+ratios parent/change, so that work moved between schemes, or between a
+scheme and prepare_trial, reads directly. Then a drift check of
 every (trial, scheme) record: ao_iterations, fp_iterations_total,
 success_rate, association and channel_hash must be equal, and min_se is
 reported by how far it moved. Last, an untimed pass over the first 12
@@ -127,6 +130,24 @@ def ratio_line(label: str, parent: list, change: list) -> str:
             f"total {sum(parent) / sum(change):.3f}")
 
 
+def runtime_lines(pairs: list) -> list:
+    """Per scheme, the median runtime_s of each side over the trials and the
+    median of the paired ratios parent/change."""
+    per = {}
+    for (rec_p, _), (rec_c, _) in pairs:
+        for rp, rc in zip(rec_p, rec_c):
+            per.setdefault(rp.scheme, []).append((rp.runtime_s, rc.runtime_s))
+    lines = ["runtime_s per scheme: median ms per side, median ratio "
+             "parent/change"]
+    for scheme, times in per.items():
+        p = statistics.median(t for t, _ in times) * 1e3
+        c = statistics.median(t for _, t in times) * 1e3
+        ratio = statistics.median(tp / tc for tp, tc in times)
+        lines.append(f"{scheme:<10} parent {p:.3f} ms  change {c:.3f} ms  "
+                     f"ratio {ratio:.3f}")
+    return lines
+
+
 def drift(pairs: list) -> tuple:
     """Decision mismatches and the min_se moves of (parent, change) pairs of
     (records, results) per trial."""
@@ -194,6 +215,7 @@ def main(argv=None) -> int:
                          [wall[1][i] for i in sel]))
     print(ratio_line("all", *wall))
     print(ratio_line("prepare", *prep))
+    print("\n".join(runtime_lines(pairs)))
     mismatches, moves = drift(pairs)
     print("\n".join(drift_lines(mismatches, moves)))
     print("\n".join(memory_lines(sides, items)))

@@ -97,9 +97,9 @@ def large_scale_state(config: ExperimentConfig, streams):
 def prepare_trial(config: ExperimentConfig, trial_index: int) -> TrialData:
     """Generate one trial's channel world: topology, large-scale links,
     channel statistics, pilots, the realization ensemble and its estimates,
-    plus the full-power combiner moments, filled for the baseline association
-    (stages 1-2, which read beta only and start every scheme), so that shared
-    work stays outside each scheme's timer."""
+    the baseline association (stages 1-2, which read beta only and start
+    every scheme) and the full-power combiner moments, filled for it. This
+    shared work is done once per trial, outside each scheme's timer."""
     streams = trial_streams(config, trial_index)
     geom, ls = large_scale_state(config, streams)
     n_ant = config.antennas_per_oru
@@ -118,14 +118,14 @@ def prepare_trial(config: ExperimentConfig, trial_index: int) -> TrialData:
                                       streams["pilot-noise"])
     p_full = full_power(config.num_uavs, config.p_max_w)
     moments = channel_moments(h, est, p_full, sigma2)
-    moments.fill(baseline_association(ls.beta, config.pilot_len,
-                                      config.n_top) != 0)
+    start = baseline_association(ls.beta, config.pilot_len, config.n_top)
+    moments.fill(start != 0)
     # SHA-256 of the canonical C-order bytes, fed one realization at a time
     # so the solver-layout ensemble is never copied whole
     digest = hashlib.sha256()
     for h_t in h:
         digest.update(h_t.tobytes())
-    return TrialData(beta=ls.beta, h=h, est=est, sigma2=sigma2,
+    return TrialData(beta=ls.beta, h=h, est=est, sigma2=sigma2, start=start,
                      moments_full=moments, channel_hash=digest.hexdigest()[:16])
 
 
@@ -133,8 +133,12 @@ def run_trial(config: ExperimentConfig, trial_index: int, schemes):
     """Evaluate the requested schemes on one trial's shared channel data.
 
     Returns (records, results) where results maps scheme label to the full
-    SchemeResult. Runtime covers association + power control + AO only; the
-    shared channel and full-power coefficient generation is outside the timer."""
+    SchemeResult. A scheme's runtime covers what it does beyond the trial's
+    shared start: stage 3 with its fills, the power rule and the AO rounds.
+    prepare_trial's channel world, the baseline association and its
+    full-power fills are built once per trial, outside every timer, and no
+    scheme writes them, so a scheme's work does not depend on which schemes
+    ran before it."""
     data = prepare_trial(config, trial_index)
     records = []
     results = {}

@@ -1,18 +1,22 @@
 """Benchmark schemes and the alternating association/power optimization loop.
 
 Six schemes combine an association rule (BA: the two-stage baseline, PA:
-QoS-aware stage 3 over a BA start that each scheme builds once) with a power
+QoS-aware stage 3 over that baseline, the start the trial holds) with a power
 rule (FP: full power, as powerctl.full_power_result, the start both solvers
 share; PP: the bisection-guided fixed-point solver; TP: the certified
 Perron-Frobenius balance iteration). Every scheme runs the same loop of
 rounds, each an association at the current powers followed by the power
 rule. Alternating optimization (AO) runs that round up to i_max_ao times for
-PA+PP and PA+TP; the other schemes run it once, from full power."""
+PA+PP and PA+TP; the other schemes run it once, from full power. A scheme
+reads its trial and writes none of it, so its work does not depend on which
+schemes ran before it."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+# run_scheme reads TrialData.start; the benchmark's power-solve set-up and
+# its tracer still reach the baseline through this module
 from .association import baseline_association, propose_association
 from .pilots import EstimationResult
 from .powerctl import (bg_fppc, full_power, full_power_result,
@@ -59,14 +63,16 @@ def parse_scheme(label: str) -> SchemeId:
 @dataclass(frozen=True)
 class TrialData:
     """Everything one trial's schemes share: large-scale state, the channel
-    ensemble with its estimates, and the full-power moments, whose filled
-    pairs every scheme's first round reuses and whose f(h) every later
-    round reads."""
+    ensemble with its estimates, the baseline association that starts every
+    scheme, and the full-power moments with its pairs filled, which every
+    first round copies and whose f(h) every later round reads. Schemes read
+    the trial and change none of it."""
 
     beta: np.ndarray
     h: np.ndarray
     est: EstimationResult
     sigma2: float
+    start: np.ndarray
     moments_full: ChannelMoments
     channel_hash: str
 
@@ -129,35 +135,34 @@ def run_scheme(scheme: SchemeId, trial: TrialData,
                config: ExperimentConfig) -> SchemeResult:
     """Evaluate one benchmark scheme on prepared trial data.
 
-    The baseline association reads beta only, so it is built once, as the
-    start. A round associates at the current powers (BA keeps the start, PA
+    A round associates at the current powers (BA keeps trial.start, PA
     refines it by stage 3) and applies the scheme's power rule to the
     coefficients of that association. The first round starts at full power
-    and reads the trial's full-power moments; each later round builds the
-    moments of its powers over the trial's f(h). PA+PP and PA+TP alternate
-    rounds until the min-SE objective stalls or i_max_ao rounds have run;
-    the other schemes run one round and return an empty trace. The
-    association stage is a heuristic, so the objective is not guaranteed
-    monotone across rounds; the best round seen is returned, which makes the
-    returned objective non-decreasing in the round count.
+    and fills a copy of the trial's full-power moments; each later round
+    builds the moments of its powers over the trial's f(h). PA+PP and PA+TP
+    alternate rounds until the min-SE objective stalls or i_max_ao rounds
+    have run; the other schemes run one round and return an empty trace.
+    The association stage is a heuristic, so the objective is not
+    guaranteed monotone across rounds; the best round seen is returned,
+    which makes the returned objective non-decreasing in the round count.
 
     trial must come from harness.prepare_trial with the K and p_max_dbm of
     config: the first round takes trial.moments_full as the moments of
-    full_power(K, config.p_max_w) and does not check it."""
+    full_power(K, config.p_max_w), and trial.start as the baseline
+    association of config's pilot_len and n_top, and checks neither."""
     solve = _make_solver(scheme.power, config)
     p = full_power(trial.beta.shape[0], config.p_max_w)
     trace = AoTrace(terminated_by="max-iters")
     fp_total = 0
     prev_obj = None
-    start = baseline_association(trial.beta, config.pilot_len, config.n_top)
     for i in range(config.i_max_ao if scheme.uses_ao else 1):
-        moments = trial.moments_full if i == 0 else channel_moments(
+        moments = trial.moments_full.copy() if i == 0 else channel_moments(
             trial.h, trial.est, p, trial.sigma2, trial.moments_full.features)
         if scheme.association == "BA":
-            a = start
+            a = trial.start
         else:
             a = propose_association(
-                start, trial.beta, config.pilot_len, config.se_min,
+                trial.start, trial.beta, config.pilot_len, config.se_min,
                 evaluate_se=lambda a: evaluate_association(
                     moments, a, trial.beta, trial.sigma2, p, config)[1])
         coef = assemble_coefficients(moments, cpu_weights(a, trial.beta),

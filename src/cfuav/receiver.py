@@ -37,7 +37,8 @@ cross-term tensor is never formed. f(h) depends on the trial only: the
 trial's full-power channel_moments call builds it, and the calls at other
 powers get that array as their features argument. Filled pairs are
 memoized: a pair keeps its bits for the life of the object, whatever is
-filled after it.
+filled after it, and ChannelMoments.copy forks the memo, so the fills of
+one fork never reach another.
 
 f(h), the factor and every fill run over blocks of whole O-RUs
 (propagation.oru_blocks), so their temporaries take at most
@@ -45,7 +46,7 @@ propagation.BLOCK_BYTES at a time: a trial's working set is the arrays it
 keeps plus one block. The block size moves no value by more than rounding."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -197,6 +198,13 @@ class ChannelMoments:
         self.g2[ks, :, ls] = s2 / t_num
         self.gn[ks, ls] = sn / t_num
         self.filled[ks, ls] = True
+
+    def copy(self) -> "ChannelMoments":
+        """A fork whose fills leave this object unchanged: the memo (g1, g2,
+        gn, filled) is copied, and h, h_hat, f(h) and the factor c, which no
+        fill writes, are shared."""
+        return replace(self, g1=self.g1.copy(), g2=self.g2.copy(),
+                       gn=self.gn.copy(), filled=self.filled.copy())
 
     def _reduce(self, ks: np.ndarray, ls: np.ndarray) -> tuple:
         """Sums over all T realizations for the combiner of UAV ks[p] at

@@ -18,6 +18,12 @@ def test_ab_trials_reads_a_tree_against_itself(capsys, monkeypatch):
     out = capsys.readouterr().out
     for label in ("K=5", "K=10", "K=20", "all", "prepare"):
         assert f"\n{label} " in out
+    assert "\nruntime_s per scheme: median ms per side, median ratio " \
+        "parent/change\n" in out
+    for scheme in ("BA+FP", "BA+PP", "BA+TP", "PA+FP", "PA+PP", "PA+TP"):
+        line = out.split(f"\n{scheme} ")[1].splitlines()[0]
+        assert line.lstrip().startswith("parent ") and " ms  change " in line
+        assert " ms  ratio " in line
     assert "decisions: 0 mismatches" in out
     assert "min_se: identical 18/18," in out
     # the untimed tracemalloc pass; allocations repeat exactly

@@ -106,9 +106,46 @@ def test_scheme_subset_invariance(num_uavs):
             assert a.fp_iterations == b.fp_iterations
 
 
+def test_scheme_work_does_not_depend_on_earlier_schemes(monkeypatch):
+    # a scheme's first round fills into its own copy of the prefilled
+    # moments, so it reduces the same pairs alone on a fresh trial as after
+    # the other five on one trial, and the trial's moments stay as built
+    from cfuav import receiver
+    from cfuav.orchestrator import run_scheme
+
+    cfg = desk_scale(num_uavs=20, se_min=1.0, master_seed=2026)
+    pairs = []
+    reduce = receiver.ChannelMoments._reduce
+
+    def recorded(self, ks, ls):
+        pairs.append((ks.tolist(), ls.tolist()))
+        return reduce(self, ks, ls)
+
+    def reduced(scheme, data):
+        pairs.clear()
+        run_scheme(scheme, data, cfg)
+        return list(pairs)
+
+    monkeypatch.setattr(receiver.ChannelMoments, "_reduce", recorded)
+    memo = ("g1", "g2", "gn", "filled")
+    for trial in range(2):
+        alone = {s.label: reduced(s, prepare_trial(cfg, trial))
+                 for s in ALL_SCHEMES}
+        data = prepare_trial(cfg, trial)
+        before = [getattr(data.moments_full, f).tobytes() for f in memo]
+        for scheme in ALL_SCHEMES:
+            for other in ALL_SCHEMES:
+                if other != scheme:
+                    run_scheme(other, data, cfg)
+            assert reduced(scheme, data) == alone[scheme.label], scheme.label
+        assert [getattr(data.moments_full, f).tobytes()
+                for f in memo] == before
+
+
 def test_prepare_trial_prefills_baseline_association(monkeypatch):
-    # stages 1-2 read beta only: their moments are filled in prepare_trial,
-    # so the BA schemes fill nothing inside their timers
+    # stages 1-2 read beta only: prepare_trial builds them as the trial's
+    # start and fills their moments, so the BA schemes fill nothing inside
+    # their timers
     from cfuav import receiver
     from cfuav.association import baseline_association
     from cfuav.orchestrator import evaluate_association
@@ -117,7 +154,8 @@ def test_prepare_trial_prefills_baseline_association(monkeypatch):
     cfg = desk_scale(num_uavs=10, master_seed=2026)
     data = prepare_trial(cfg, 0)
     a = baseline_association(data.beta, cfg.pilot_len, cfg.n_top)
-    np.testing.assert_array_equal(data.moments_full.filled, a != 0)
+    np.testing.assert_array_equal(data.start, a)
+    np.testing.assert_array_equal(data.moments_full.filled, data.start != 0)
 
     def no_fill(*args):
         raise AssertionError("BA association filled a new pair")

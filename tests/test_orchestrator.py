@@ -149,11 +149,12 @@ def test_every_scheme_shares_its_first_round(trial, tight_config):
         np.testing.assert_array_equal(pa_fp.association,
                                       ao.trace.iterations[0].association)
     # the first round starts at full power: PP's first step solves the
-    # full-power coefficients of the association FP keeps
+    # full-power coefficients of the association FP keeps; a copy, as a
+    # scheme's first round reads, leaves the shared fixture as prepared
     p_full = full_power(4, tight_config.p_max_w)
-    coef, _ = evaluate_association(trial.moments_full, pa_fp.association,
-                                   trial.beta, trial.sigma2, p_full,
-                                   tight_config)
+    coef, _ = evaluate_association(trial.moments_full.copy(),
+                                   pa_fp.association, trial.beta,
+                                   trial.sigma2, p_full, tight_config)
     fp = _make_solver("FP", tight_config)(coef)
     np.testing.assert_array_equal(fp.p_star, p_full)
     assert fp.gamma_star == pa_fp.gamma_star == np.min(pa_fp.se.sinr)
@@ -170,9 +171,11 @@ def test_every_scheme_shares_its_first_round(trial, tight_config):
             assert (res.trace.count, res.trace.terminated_by) == (0, "")
 
 
-def test_baseline_start_built_once_per_scheme(trial, tight_config, monkeypatch):
-    # stages 1-2 read beta only: PA rounds refine one BA start
+def test_baseline_start_built_once_per_trial(tight_config, monkeypatch):
+    # stages 1-2 read beta only: prepare_trial builds the one BA start that
+    # every scheme of the trial reads, and no scheme builds its own
     from cfuav import association
+    from cfuav.harness import run_trial
 
     calls = []
 
@@ -182,6 +185,11 @@ def test_baseline_start_built_once_per_scheme(trial, tight_config, monkeypatch):
 
     stage1 = association.stage1_uav_centric
     monkeypatch.setattr(association, "stage1_uav_centric", counted)
-    res = run_scheme(SchemeId("PA", "PP"), trial, tight_config)
-    assert res.trace.count >= 2
+    _, results = run_trial(tight_config, 0, ALL_SCHEMES)
     assert len(calls) == 1
+    assert results["PA+PP"].trace.count >= 2
+    trial = prepare_trial(tight_config, 0)
+    res = run_scheme(SchemeId("BA", "FP"), trial, tight_config)
+    assert len(calls) == 2
+    np.testing.assert_array_equal(res.association, trial.start)
+    np.testing.assert_array_equal(results["BA+FP"].association, trial.start)
