@@ -19,8 +19,9 @@ its runtime_s: the median in ms on each side and the median of the paired
 ratios parent/change, so that work moved between schemes, or between a
 scheme and prepare_trial, reads directly. Then a drift check of
 every (trial, scheme) record: ao_iterations, fp_iterations_total,
-success_rate, association and channel_hash must be equal, and min_se is
-reported by how far it moved. Last, an untimed pass over the first 12
+success_rate, association and channel_hash must be equal, and so must the
+bytes of the power and SE vectors and of every AO round's power vector;
+min_se is reported by how far it moved. Last, an untimed pass over the first 12
 trials runs each side again with tracemalloc on and prints, per side, the
 median traced peak of a trial (numpy reports its buffers to tracemalloc),
 with the ratio parent/change. Exits 1 when a decision differs."""
@@ -41,6 +42,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 DESK_UAVS = (5, 10, 20)
 DECISIONS = ("ao_iterations", "fp_iterations_total", "success_rate",
              "channel_hash")
+RESULT_BYTES = ("power", "se", "AO powers")
 MEMORY_TRIALS = 12
 
 
@@ -148,6 +150,13 @@ def runtime_lines(pairs: list) -> list:
     return lines
 
 
+def result_bytes(result) -> dict:
+    """The bytes of a SchemeResult that RESULT_BYTES names."""
+    return {"power": result.power.tobytes(), "se": result.se.se.tobytes(),
+            "AO powers": [it.power.tobytes()
+                          for it in result.trace.iterations]}
+
+
 def drift(pairs: list) -> tuple:
     """Decision mismatches and the min_se moves of (parent, change) pairs of
     (records, results) per trial."""
@@ -158,9 +167,12 @@ def drift(pairs: list) -> tuple:
             for name in DECISIONS:
                 if getattr(rp, name) != getattr(rc, name):
                     mismatches.append(f"{where}: {name}")
-            if not (res_p[rp.scheme].association
-                    == res_c[rc.scheme].association).all():
+            sp, sc = res_p[rp.scheme], res_c[rc.scheme]
+            if not (sp.association == sc.association).all():
                 mismatches.append(f"{where}: association")
+            bp, bc = result_bytes(sp), result_bytes(sc)
+            mismatches += [f"{where}: {name} bytes" for name in RESULT_BYTES
+                           if bp[name] != bc[name]]
             moves.append((abs(rp.min_se - rc.min_se), where))
     return mismatches, moves
 
@@ -168,7 +180,8 @@ def drift(pairs: list) -> tuple:
 def drift_lines(mismatches: list, moves: list) -> list:
     n = len(moves)
     lines = [f"decisions: {len(mismatches)} mismatches in "
-             f"{', '.join(DECISIONS)}, association over {n} records"]
+             f"{', '.join(DECISIONS)}, association and the bytes of "
+             f"{', '.join(RESULT_BYTES)} over {n} records"]
     lines += [f"  {m}" for m in mismatches[:20]]
     delta = [d for d, _ in moves]
     worst, where = max(moves)

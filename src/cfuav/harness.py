@@ -15,8 +15,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .association import baseline_association
-from .orchestrator import ALL_SCHEMES, TrialData, run_scheme
+from .orchestrator import ALL_SCHEMES, TrialData, first_rounds, run_scheme
 from .pilots import assign_pilots_random, simulate_pilot_and_estimate
 from .propagation import (channel_stats, draw_angular_spread, draw_channels,
                           large_scale, link_geometry, los_probability,
@@ -97,9 +96,11 @@ def large_scale_state(config: ExperimentConfig, streams):
 def prepare_trial(config: ExperimentConfig, trial_index: int) -> TrialData:
     """Generate one trial's channel world: topology, large-scale links,
     channel statistics, pilots, the realization ensemble and its estimates,
-    the baseline association (stages 1-2, which read beta only and start
-    every scheme) and the full-power combiner moments, filled for it. This
-    shared work is done once per trial, outside each scheme's timer."""
+    the full-power combiner moments, and the full-power first round of each
+    association rule (orchestrator.first_rounds), which fills its pairs into
+    those moments. A first round depends on the trial and the association
+    rule only, never on the power rule, so this shared work is done once
+    per trial, outside each scheme's timer."""
     streams = trial_streams(config, trial_index)
     geom, ls = large_scale_state(config, streams)
     n_ant = config.antennas_per_oru
@@ -118,27 +119,27 @@ def prepare_trial(config: ExperimentConfig, trial_index: int) -> TrialData:
                                       streams["pilot-noise"])
     p_full = full_power(config.num_uavs, config.p_max_w)
     moments = channel_moments(h, est, p_full, sigma2)
-    start = baseline_association(ls.beta, config.pilot_len, config.n_top)
-    moments.fill(start != 0)
+    first = first_rounds(moments, ls.beta, sigma2, config)
     # SHA-256 of the canonical C-order bytes, fed one realization at a time
     # so the solver-layout ensemble is never copied whole
     digest = hashlib.sha256()
     for h_t in h:
         digest.update(h_t.tobytes())
-    return TrialData(beta=ls.beta, h=h, est=est, sigma2=sigma2, start=start,
-                     moments_full=moments, channel_hash=digest.hexdigest()[:16])
+    return TrialData(beta=ls.beta, h=h, est=est, sigma2=sigma2,
+                     moments_full=moments, first=first,
+                     channel_hash=digest.hexdigest()[:16])
 
 
 def run_trial(config: ExperimentConfig, trial_index: int, schemes):
     """Evaluate the requested schemes on one trial's shared channel data.
 
     Returns (records, results) where results maps scheme label to the full
-    SchemeResult. A scheme's runtime covers what it does beyond the trial's
-    shared start: stage 3 with its fills, the power rule and the AO rounds.
-    prepare_trial's channel world, the baseline association and its
-    full-power fills are built once per trial, outside every timer, and no
-    scheme writes them, so a scheme's work does not depend on which schemes
-    ran before it."""
+    SchemeResult. A scheme's runtime covers its power rule on the trial's
+    first round of its association rule, and its later AO rounds. The
+    channel world and both full-power first rounds (BA's start and
+    coefficients, PA's stage 3 from that start) are built once per trial,
+    in prepare_trial, outside every timer, and no scheme writes them, so a
+    scheme's work does not depend on which schemes ran before it."""
     data = prepare_trial(config, trial_index)
     records = []
     results = {}

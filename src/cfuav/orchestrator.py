@@ -1,22 +1,23 @@
 """Benchmark schemes and the alternating association/power optimization loop.
 
 Six schemes combine an association rule (BA: the two-stage baseline, PA:
-QoS-aware stage 3 over that baseline, the start the trial holds) with a power
-rule (FP: full power, as powerctl.full_power_result, the start both solvers
-share; PP: the bisection-guided fixed-point solver; TP: the certified
-Perron-Frobenius balance iteration). Every scheme runs the same loop of
-rounds, each an association at the current powers followed by the power
-rule. Alternating optimization (AO) runs that round up to i_max_ao times for
-PA+PP and PA+TP; the other schemes run it once, from full power. A scheme
-reads its trial and writes none of it, so its work does not depend on which
-schemes ran before it."""
+QoS-aware stage 3 over that baseline) with a power rule (FP: full power, as
+powerctl.full_power_result, the start both solvers share; PP: the
+bisection-guided fixed-point solver; TP: the certified Perron-Frobenius
+balance iteration). Every scheme runs the same loop of rounds, each an
+association at the current powers followed by the power rule. The first
+round is at full power, so its association and coefficients depend on the
+trial and the association rule only: first_rounds builds them once per
+trial, and a scheme's first round is its power rule on them. Alternating
+optimization (AO) runs later rounds up to i_max_ao in all for PA+PP and
+PA+TP; the other schemes run the first round only. A scheme reads its
+trial and writes none of it, so its work does not depend on which schemes
+ran before it."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# run_scheme reads TrialData.start; the benchmark's power-solve set-up and
-# its tracer still reach the baseline through this module
 from .association import baseline_association, propose_association
 from .pilots import EstimationResult
 from .powerctl import (bg_fppc, full_power, full_power_result,
@@ -63,17 +64,17 @@ def parse_scheme(label: str) -> SchemeId:
 @dataclass(frozen=True)
 class TrialData:
     """Everything one trial's schemes share: large-scale state, the channel
-    ensemble with its estimates, the baseline association that starts every
-    scheme, and the full-power moments with its pairs filled, which every
-    first round copies and whose f(h) every later round reads. Schemes read
-    the trial and change none of it."""
+    ensemble with its estimates, the full-power moments, filled for both
+    first rounds, whose f(h) every later round reads, and first, the
+    full-power first round of each association rule as first_rounds builds
+    it. Schemes read the trial and change none of it."""
 
     beta: np.ndarray
     h: np.ndarray
     est: EstimationResult
     sigma2: float
-    start: np.ndarray
     moments_full: ChannelMoments
+    first: dict
     channel_hash: str
 
 
@@ -84,6 +85,34 @@ def evaluate_association(moments: ChannelMoments, association: np.ndarray,
     coef = assemble_coefficients(moments, cpu_weights(association, beta), sigma2)
     gam = sinr(coef, p)
     return coef, spectral_efficiency(gam, config.pilot_len, config.coherence_len)
+
+
+def _stage3_round(moments: ChannelMoments, start: np.ndarray,
+                  beta: np.ndarray, sigma2: float, p: np.ndarray,
+                  config: ExperimentConfig) -> tuple:
+    """One PA round's association at powers p, given the moments of p:
+    stage 3 from the BA start, and the coefficients of its result, as
+    (association, coefficients)."""
+    a = propose_association(
+        start, beta, config.pilot_len, config.se_min,
+        evaluate_se=lambda a: evaluate_association(
+            moments, a, beta, sigma2, p, config)[1])
+    return a, assemble_coefficients(moments, cpu_weights(a, beta), sigma2)
+
+
+def first_rounds(moments: ChannelMoments, beta: np.ndarray, sigma2: float,
+                 config: ExperimentConfig) -> dict:
+    """The full-power first round of each association rule, as
+    {"BA": (association, coefficients), "PA": (association, coefficients)}.
+    BA is stages 1-2, which read beta only; PA is stage 3 from that start at
+    full power. moments must be the full-power moments of the trial; both
+    rounds fill their pairs into it."""
+    start = baseline_association(beta, config.pilot_len, config.n_top)
+    ba = start, assemble_coefficients(moments, cpu_weights(start, beta),
+                                      sigma2)
+    p = full_power(beta.shape[0], config.p_max_w)
+    return {"BA": ba,
+            "PA": _stage3_round(moments, start, beta, sigma2, p, config)}
 
 
 def _make_solver(power_rule: str, config: ExperimentConfig):
@@ -135,38 +164,31 @@ def run_scheme(scheme: SchemeId, trial: TrialData,
                config: ExperimentConfig) -> SchemeResult:
     """Evaluate one benchmark scheme on prepared trial data.
 
-    A round associates at the current powers (BA keeps trial.start, PA
-    refines it by stage 3) and applies the scheme's power rule to the
-    coefficients of that association. The first round starts at full power
-    and fills a copy of the trial's full-power moments; each later round
-    builds the moments of its powers over the trial's f(h). PA+PP and PA+TP
-    alternate rounds until the min-SE objective stalls or i_max_ao rounds
-    have run; the other schemes run one round and return an empty trace.
+    The first round applies the scheme's power rule to the trial's
+    full-power round of its association rule (trial.first). Each later
+    round builds the moments of the current powers over the trial's f(h),
+    refines the BA start by stage 3 at those powers and applies the power
+    rule to the coefficients of the result. PA+PP and PA+TP alternate
+    rounds until the min-SE objective stalls or i_max_ao rounds have run;
+    the other schemes run the first round only and return an empty trace.
     The association stage is a heuristic, so the objective is not
     guaranteed monotone across rounds; the best round seen is returned,
     which makes the returned objective non-decreasing in the round count.
 
-    trial must come from harness.prepare_trial with the K and p_max_dbm of
-    config: the first round takes trial.moments_full as the moments of
-    full_power(K, config.p_max_w), and trial.start as the baseline
-    association of config's pilot_len and n_top, and checks neither."""
+    trial must come from harness.prepare_trial with the K, p_max_dbm,
+    pilot_len, n_top and se_min of config: trial.first is taken as the
+    full-power rounds of those settings, and none of them is checked."""
     solve = _make_solver(scheme.power, config)
-    p = full_power(trial.beta.shape[0], config.p_max_w)
+    a, coef = trial.first[scheme.association]
     trace = AoTrace(terminated_by="max-iters")
     fp_total = 0
     prev_obj = None
     for i in range(config.i_max_ao if scheme.uses_ao else 1):
-        moments = trial.moments_full.copy() if i == 0 else channel_moments(
-            trial.h, trial.est, p, trial.sigma2, trial.moments_full.features)
-        if scheme.association == "BA":
-            a = trial.start
-        else:
-            a = propose_association(
-                trial.start, trial.beta, config.pilot_len, config.se_min,
-                evaluate_se=lambda a: evaluate_association(
-                    moments, a, trial.beta, trial.sigma2, p, config)[1])
-        coef = assemble_coefficients(moments, cpu_weights(a, trial.beta),
-                                     trial.sigma2)
+        if i >= 1:
+            moments = channel_moments(trial.h, trial.est, p, trial.sigma2,
+                                      trial.moments_full.features)
+            a, coef = _stage3_round(moments, trial.first["BA"][0],
+                                    trial.beta, trial.sigma2, p, config)
         res = solve(coef)
         p_new = res.p_star
         gam = sinr(coef, p_new)

@@ -184,7 +184,7 @@ def _parse_value(name: str, raw: str):
     if name in _TUPLE_FIELDS:
         parts = [p for p in re.split(r"[,\s]+", raw.strip("[]() ")) if p]
         if len(parts) != 2:
-            raise ValueError(f"{name} expects two numbers, got {raw!r}")
+            raise ValueError(f"expects two numbers, got {raw!r}")
         return (float(parts[0]), float(parts[1]))
     if name in _INT_FIELDS:
         return int(raw)
@@ -209,5 +209,8 @@ def load_config(path, **overrides) -> ExperimentConfig:
             key = key.strip()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            settings[key] = _parse_value(key, value)
+            try:
+                settings[key] = _parse_value(key, value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
     return ExperimentConfig(**{**settings, **overrides})

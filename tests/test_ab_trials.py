@@ -6,7 +6,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_ab_trials_reads_a_tree_against_itself(capsys, monkeypatch):
     # the paired A/B script loads this checkout twice, under two package
-    # names, and finds no decision or min_se that differs
+    # names, and finds no decision, result byte or min_se that differs
     spec = importlib.util.spec_from_file_location(
         "ab_trials", ROOT / "bench" / "ab_trials.py")
     ab_trials = importlib.util.module_from_spec(spec)
@@ -24,7 +24,9 @@ def test_ab_trials_reads_a_tree_against_itself(capsys, monkeypatch):
         line = out.split(f"\n{scheme} ")[1].splitlines()[0]
         assert line.lstrip().startswith("parent ") and " ms  change " in line
         assert " ms  ratio " in line
-    assert "decisions: 0 mismatches" in out
+    assert ("\ndecisions: 0 mismatches in ao_iterations, fp_iterations_total, "
+            "success_rate, channel_hash, association and the bytes of power, "
+            "se, AO powers over 18 records\n") in out
     assert "min_se: identical 18/18," in out
     # the untimed tracemalloc pass; allocations repeat exactly
     assert "\nmemory per desk trial, median over 3 (tracemalloc on)\n" in out

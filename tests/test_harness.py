@@ -107,9 +107,10 @@ def test_scheme_subset_invariance(num_uavs):
 
 
 def test_scheme_work_does_not_depend_on_earlier_schemes(monkeypatch):
-    # a scheme's first round fills into its own copy of the prefilled
-    # moments, so it reduces the same pairs alone on a fresh trial as after
-    # the other five on one trial, and the trial's moments stay as built
+    # a scheme's first round is the trial's, and its later rounds fill
+    # moments of their own, so it reduces the same pairs alone on a fresh
+    # trial as after the other five on one trial, and the trial's moments
+    # stay as built
     from cfuav import receiver
     from cfuav.orchestrator import run_scheme
 
@@ -143,9 +144,9 @@ def test_scheme_work_does_not_depend_on_earlier_schemes(monkeypatch):
 
 
 def test_prepare_trial_prefills_baseline_association(monkeypatch):
-    # stages 1-2 read beta only: prepare_trial builds them as the trial's
-    # start and fills their moments, so the BA schemes fill nothing inside
-    # their timers
+    # stages 1-2 read beta only: prepare_trial builds them as BA's first
+    # round and fills their moments, together with PA's, so a BA
+    # evaluation fills nothing inside a scheme's timer
     from cfuav import receiver
     from cfuav.association import baseline_association
     from cfuav.orchestrator import evaluate_association
@@ -154,8 +155,9 @@ def test_prepare_trial_prefills_baseline_association(monkeypatch):
     cfg = desk_scale(num_uavs=10, master_seed=2026)
     data = prepare_trial(cfg, 0)
     a = baseline_association(data.beta, cfg.pilot_len, cfg.n_top)
-    np.testing.assert_array_equal(data.start, a)
-    np.testing.assert_array_equal(data.moments_full.filled, data.start != 0)
+    np.testing.assert_array_equal(data.first["BA"][0], a)
+    union = (a != 0) | (data.first["PA"][0] != 0)
+    np.testing.assert_array_equal(data.moments_full.filled, union)
 
     def no_fill(*args):
         raise AssertionError("BA association filled a new pair")
@@ -163,7 +165,44 @@ def test_prepare_trial_prefills_baseline_association(monkeypatch):
     monkeypatch.setattr(receiver.ChannelMoments, "_reduce", no_fill)
     evaluate_association(data.moments_full, a, data.beta, data.sigma2,
                          full_power(cfg.num_uavs, cfg.p_max_w), cfg)
-    np.testing.assert_array_equal(data.moments_full.filled, a != 0)
+    np.testing.assert_array_equal(data.moments_full.filled, union)
+
+
+def test_first_rounds_are_built_once_per_trial(monkeypatch):
+    # a first round depends on the trial and the association rule only:
+    # stage 3 at full power runs once per trial, in prepare_trial, and again
+    # only in the later AO rounds; a one-round scheme reduces no pair
+    from cfuav import orchestrator, receiver
+    from cfuav.orchestrator import run_scheme
+
+    cfg = desk_scale(num_uavs=20, se_min=1.0, master_seed=2026)
+    calls = []
+    propose = orchestrator.propose_association
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return propose(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "propose_association", counted)
+    for trial in range(2):
+        calls.clear()
+        _, results = run_trial(cfg, trial, ALL_SCHEMES)
+        later = sum(results[label].trace.count - 1
+                    for label in ("PA+PP", "PA+TP"))
+        assert len(calls) == 1 + later
+    monkeypatch.undo()
+
+    def no_reduce(*args):
+        raise AssertionError("a one-round scheme reduced a pair")
+
+    for trial in range(2):
+        for scheme in ALL_SCHEMES:
+            if scheme.uses_ao:
+                continue
+            data = prepare_trial(cfg, trial)
+            with monkeypatch.context() as patch:
+                patch.setattr(receiver.ChannelMoments, "_reduce", no_reduce)
+                run_scheme(scheme, data, cfg)
 
 
 def test_run_trial_builds_features_once(monkeypatch):

@@ -149,12 +149,10 @@ def test_every_scheme_shares_its_first_round(trial, tight_config):
         np.testing.assert_array_equal(pa_fp.association,
                                       ao.trace.iterations[0].association)
     # the first round starts at full power: PP's first step solves the
-    # full-power coefficients of the association FP keeps; a copy, as a
-    # scheme's first round reads, leaves the shared fixture as prepared
+    # trial's full-power coefficients of the association FP keeps
     p_full = full_power(4, tight_config.p_max_w)
-    coef, _ = evaluate_association(trial.moments_full.copy(),
-                                   pa_fp.association, trial.beta,
-                                   trial.sigma2, p_full, tight_config)
+    a, coef = trial.first["PA"]
+    np.testing.assert_array_equal(a, pa_fp.association)
     fp = _make_solver("FP", tight_config)(coef)
     np.testing.assert_array_equal(fp.p_star, p_full)
     assert fp.gamma_star == pa_fp.gamma_star == np.min(pa_fp.se.sinr)
@@ -173,7 +171,8 @@ def test_every_scheme_shares_its_first_round(trial, tight_config):
 
 def test_baseline_start_built_once_per_trial(tight_config, monkeypatch):
     # stages 1-2 read beta only: prepare_trial builds the one BA start that
-    # every scheme of the trial reads, and no scheme builds its own
+    # both first rounds and every later stage 3 of the trial read, and no
+    # scheme builds its own
     from cfuav import association
     from cfuav.harness import run_trial
 
@@ -191,5 +190,6 @@ def test_baseline_start_built_once_per_trial(tight_config, monkeypatch):
     trial = prepare_trial(tight_config, 0)
     res = run_scheme(SchemeId("BA", "FP"), trial, tight_config)
     assert len(calls) == 2
-    np.testing.assert_array_equal(res.association, trial.start)
-    np.testing.assert_array_equal(results["BA+FP"].association, trial.start)
+    start = trial.first["BA"][0]
+    np.testing.assert_array_equal(res.association, start)
+    np.testing.assert_array_equal(results["BA+FP"].association, start)

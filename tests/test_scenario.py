@@ -183,3 +183,19 @@ def test_load_config_rejects_garbage_line(tmp_path):
     path.write_text("num_orus 25\n")
     with pytest.raises(ValueError):
         load_config(path)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("num_orus = 2.5", "invalid literal for int()"),
+    ("se_min = one", "could not convert string to float"),
+    ("uav_alt_range = 50", "expects two numbers, got '50'"),
+])
+def test_load_config_value_error_names_file_line_and_key(tmp_path, line,
+                                                         message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"# header\ntrials = 3\n{line}\n")
+    key = line.split("=")[0].strip()
+    with pytest.raises(ValueError) as info:
+        load_config(path)
+    assert str(info.value).startswith(f"{path}:3: {key}: ")
+    assert message in str(info.value)
